@@ -102,13 +102,13 @@ func fingerprintOf(key string) Fingerprint {
 
 // mixWords digests a packed record (a []uint64 instance-local encoding)
 // with the same mixing rounds as mix128. It keys the raw-identity
-// / pre-filter in the explorer: packed records are exact encodings, so equal
-// words mean equal configurations, and a second, cheaper hash over the
-// words lets the hot path skip the canonical key stream for the (majority
-// of) transitions that recreate an already-seen record verbatim. The
-// resulting fingerprints live in their own set — they use dictionary ids,
-// which are instance-scoped, so they are never persisted or compared with
-// canonical fingerprints.
+// pre-filters of Reach and ReachMasked: packed records are exact
+// encodings, so equal words mean equal configurations, and a second,
+// cheaper hash over the words lets the hot path skip the canonical key
+// stream for the (majority of) transitions that recreate an already-seen
+// record verbatim. The resulting fingerprints live in their own set — they
+// use dictionary ids, which are instance-scoped, so they are never
+// persisted or compared with canonical fingerprints.
 func mixWords(ws []uint64) Fingerprint {
 	n := uint64(len(ws))
 	h1 := mixK0 ^ n*mixK2
@@ -156,7 +156,7 @@ func newHasher() *hasher {
 	return &hasher{}
 }
 
-// / fingerprint digests c's canonical key under opts. Preference order:
+// fingerprint digests c's canonical key under opts. Preference order:
 // KeyTo (pure streaming), then KeyFn (string materialised, then hashed —
 // still correct, just slower), then Config.KeyTo.
 func (hs *hasher) fingerprint(opts *Options, c model.Config) Fingerprint {

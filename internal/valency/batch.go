@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/bits"
-	"slices"
 
 	"repro/internal/explore"
 	"repro/internal/model"
@@ -25,7 +24,11 @@ import (
 // is a proof that the node's witness path is a candidates[k]-only
 // execution — which makes decided values found under bit k certificates
 // for candidate k, with the same replayable witness paths Decidable
-// produces.
+// produces. The search is explore.ReachMasked, the packed engine's masked
+// kernel; this file keeps only the candidate bookkeeping (live bits,
+// witness ids, the replay check on certificates) and the memo semantics.
+// The original Config-based loop survives as the differential oracle in
+// batch_ref_test.go.
 //
 // Exactness mirrors ProbeBivalent: a candidate resolved bivalent within
 // budget is exact; when the search drains the union frontier within budget
@@ -161,72 +164,51 @@ func (o *Oracle) decideBatch(ctx context.Context, c model.Config, cands [][]int,
 	return outs, nil
 }
 
-// batchNode is one entry of the batch forest: enough to replay the witness
-// path, plus the candidate mask its path is valid for.
-type batchNode struct {
-	parent int32
-	depth  int32
-	via    model.Move
-	mask   uint64
-}
-
-// batchSearch runs the mask BFS for the active candidates, folding decided
-// values into outs[i].verdict as they are found and memoising candidates
-// that reach bivalence mid-search. It reports whether the union space was
-// exhausted within budget.
+// batchSearch runs the mask BFS for the active candidates on explore's
+// packed masked kernel, folding decided values into outs[i].verdict as they
+// are found and memoising candidates that reach bivalence mid-search. Bit
+// k of a node's mask stands for cands[active[k]]. It reports whether the
+// union space was exhausted within budget.
 func (o *Oracle) batchSearch(ctx context.Context, c model.Config, cands [][]int, keys []queryKey, active []int, outs []batchOutcome, budget int) (bool, error) {
 	opts := o.opts
-	maxConfigs := effectiveMax(opts)
-	if budget > 0 && budget < maxConfigs {
-		maxConfigs = budget
+	opts.MaxConfigs = effectiveMax(opts)
+	if budget > 0 && budget < opts.MaxConfigs {
+		opts.MaxConfigs = budget
 	}
 
-	// union is the sorted union of the candidates' processes; allowed[pid]
-	// is the set of active candidates whose process set contains pid.
-	inUnion := make(map[int]uint64)
+	// union is the sorted union of the candidates' processes; allowed[j]
+	// is the set of active candidates whose process set contains union[j].
+	var byPid [64]uint64 // queryKey bounds pids to [0,64)
 	for bit, i := range active {
 		for _, pid := range cands[i] {
-			inUnion[pid] |= 1 << uint(bit)
+			byPid[pid] |= 1 << uint(bit)
 		}
 	}
-	union := make([]int, 0, len(inUnion))
-	for pid := range inUnion {
-		union = append(union, pid)
+	var union []int
+	var allowed []uint64
+	for pid, m := range byPid {
+		if m != 0 {
+			union = append(union, pid)
+			allowed = append(allowed, m)
+		}
 	}
-	slices.Sort(union)
 
-	allBits := uint64(1)<<uint(len(active)) - 1
-	liveBits := allBits // candidates still seeking an answer
-	fper := opts.NewFingerprinter()
-	seen := map[explore.Fingerprint]uint64{fper.Fingerprint(c): allBits}
-	nodes := []batchNode{{parent: -1, mask: allBits}}
-	cfgs := []model.Config{c}
+	liveBits := uint64(1)<<uint(len(active)) - 1 // candidates still seeking an answer
 	// witnessIDs[bit] maps a decided value to the node certifying it for
 	// that candidate.
-	witnessIDs := make([]map[model.Value]int32, len(active))
+	witnessIDs := make([]map[model.Value]int, len(active))
 	for bit := range witnessIDs {
-		witnessIDs[bit] = make(map[model.Value]int32)
+		witnessIDs[bit] = make(map[model.Value]int)
 	}
 
-	count := 0
-	capped := false
-	sp := opts.Obs.StartSpan("valency_batch", slog.Int("candidates", len(active)))
-	defer func() {
-		o.stats.Configs += count
-		o.metrics.configs.Add(int64(count))
-		o.metrics.queryConfigs.Observe(int64(count))
-		sp.End(slog.Int("configs", count), slog.Bool("exhausted", !capped))
-	}()
-
-	note := func(id int32) error {
-		n := &nodes[id]
-		mask := n.mask & liveBits
+	sp := o.opts.Obs.StartSpan("valency_batch", slog.Int("candidates", len(active)))
+	res, err := explore.ReachMasked(ctx, c, union, allowed, opts, func(v explore.MaskedVisit) (uint64, error) {
+		mask := v.Mask & liveBits
 		if mask == 0 {
-			return nil
+			return liveBits, nil
 		}
-		cfg := cfgs[id]
 		for _, pid := range union {
-			val, ok := cfg.Decided(pid)
+			val, ok := v.Config.Decided(pid)
 			if !ok {
 				continue
 			}
@@ -238,68 +220,28 @@ func (o *Oracle) batchSearch(ctx context.Context, c model.Config, cands [][]int,
 					continue
 				}
 				verdict.Decidable[val] = true
-				witnessIDs[bit][val] = id
+				witnessIDs[bit][val] = v.ID
 				if verdict.Bivalent() && !outs[i].exact {
-					if err := o.finishBatchCandidate(c, cands[i], keys[i], &outs[i], nodes, witnessIDs[bit]); err != nil {
-						return err
+					if err := o.finishBatchCandidate(c, cands[i], keys[i], &outs[i], v, witnessIDs[bit]); err != nil {
+						return 0, err
 					}
 					liveBits &^= 1 << uint(bit)
 				}
 			}
 		}
-		return nil
+		return liveBits, nil
+	})
+	o.stats.Configs += res.Count
+	o.stats.DeepestLevel = max(o.stats.DeepestLevel, res.Depth)
+	o.metrics.configs.Add(int64(res.Count))
+	o.metrics.queryConfigs.Observe(int64(res.Count))
+	o.metrics.batchRawHits.Add(int64(res.RawHits))
+	sp.End(slog.Int("configs", res.Count), slog.Bool("exhausted", !res.Capped),
+		slog.Int("steps", res.Steps), slog.Int("raw_hits", res.RawHits))
+	if err != nil {
+		return false, fmt.Errorf("valency batch: %w", err)
 	}
-	count++
-	if err := note(0); err != nil {
-		return false, err
-	}
-
-	for lo := 0; lo < len(nodes) && liveBits != 0; lo++ {
-		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("valency batch: %w", err)
-		}
-		if count >= maxConfigs {
-			capped = true
-			break
-		}
-		n := nodes[lo]
-		mask := n.mask & liveBits
-		if mask == 0 {
-			continue
-		}
-		cfg := cfgs[lo]
-		for _, mv := range explore.Moves(cfg, union) {
-			childMask := mask & inUnion[mv.Pid]
-			if childMask == 0 {
-				continue
-			}
-			child := explore.Apply(cfg, mv)
-			fp := fper.Fingerprint(child)
-			prev, ok := seen[fp]
-			if ok && childMask&^prev == 0 {
-				continue
-			}
-			if !ok {
-				count++
-			}
-			seen[fp] = prev | childMask
-			id := int32(len(nodes))
-			nodes = append(nodes, batchNode{parent: int32(lo), depth: n.depth + 1, via: mv, mask: childMask})
-			cfgs = append(cfgs, child)
-			o.stats.DeepestLevel = max(o.stats.DeepestLevel, int(n.depth)+1)
-			if err := note(id); err != nil {
-				return false, err
-			}
-			if liveBits == 0 {
-				break
-			}
-			if count >= maxConfigs {
-				capped = true
-				break
-			}
-		}
-	}
-	if !capped {
+	if !res.Capped {
 		// The union frontier drained: every unresolved candidate's space was
 		// exhausted, so its found values are its whole decidable set —
 		// materialise their witness paths for the memo.
@@ -308,22 +250,24 @@ func (o *Oracle) batchSearch(ctx context.Context, c model.Config, cands [][]int,
 				continue
 			}
 			for val, id := range witnessIDs[bit] {
-				outs[i].verdict.Witness[val] = batchPathTo(nodes, id)
+				// Visit IDs are always in range: PathTo cannot fail here.
+				outs[i].verdict.Witness[val], _ = res.PathTo(id)
 			}
 		}
 	}
-	return !capped, nil
+	return !res.Capped, nil
 }
 
 // finishBatchCandidate materialises witness paths for a candidate that
 // reached bivalence mid-search and memoises its verdict.
-func (o *Oracle) finishBatchCandidate(c model.Config, p []int, key queryKey, out *batchOutcome, nodes []batchNode, ids map[model.Value]int32) error {
+func (o *Oracle) finishBatchCandidate(c model.Config, p []int, key queryKey, out *batchOutcome, v explore.MaskedVisit, ids map[model.Value]int) error {
 	for val, id := range ids {
-		out.verdict.Witness[val] = batchPathTo(nodes, id)
+		// Visit IDs are always in range: PathTo cannot fail here.
+		out.verdict.Witness[val], _ = v.PathTo(id)
 	}
 	for val, path := range out.verdict.Witness {
 		if !model.RunPath(c, path).DecidedValues()[val] {
-			return fmt.Errorf("valency batch: witness for %q does not replay", string(val))
+			return fmt.Errorf("witness for %q does not replay", string(val))
 		}
 	}
 	o.memo.verdicts[key] = out.verdict
@@ -331,17 +275,3 @@ func (o *Oracle) finishBatchCandidate(c model.Config, p []int, key queryKey, out
 	out.exact = true
 	return nil
 }
-
-// batchPathTo replays the forest from node id back to the root.
-func batchPathTo(nodes []batchNode, id int32) model.Path {
-	var rev model.Path
-	for id > 0 {
-		rev = append(rev, nodes[id].via)
-		id = nodes[id].parent
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-

@@ -128,6 +128,7 @@ type oracleMetrics struct {
 	queries, hits         *obs.Counter
 	soloQueries, soloHits *obs.Counter
 	configs               *obs.Counter
+	batchRawHits          *obs.Counter
 	queryConfigs          *obs.Histogram
 	queryUs               *obs.Histogram
 }
@@ -147,6 +148,7 @@ func newOracleMetrics(s *obs.Scope) oracleMetrics {
 		soloQueries:  s.Counter("valency_solo_queries"),
 		soloHits:     s.Counter("valency_solo_hits"),
 		configs:      s.Counter("valency_configs"),
+		batchRawHits: s.Counter("valency_batch_raw_hits"),
 		queryConfigs: s.Histogram("valency_query_configs", obs.LevelSizeBounds),
 		queryUs:      s.Histogram("valency_query_us", QueryLatencyBoundsMicros),
 	}
