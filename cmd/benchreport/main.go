@@ -139,7 +139,6 @@ type Report struct {
 
 func diskOpts() explore.Options {
 	return explore.Options{
-		KeyFn: consensus.DiskRace{}.CanonicalKey,
 		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
 	}
 }

@@ -55,7 +55,12 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := [][]byte{[]byte("alpha"), {}, []byte("gamma")}
+	// The large record spans several payloadStep reads.
+	large := make([]byte, 5*payloadStep+3)
+	for i := range large {
+		large[i] = byte(i % 251)
+	}
+	records := [][]byte{[]byte("alpha"), {}, large, []byte("gamma")}
 	for _, rec := range records {
 		if err := sw.Append(rec); err != nil {
 			t.Fatal(err)
@@ -73,7 +78,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	for i := range records {
 		if !bytes.Equal(got[i], records[i]) {
-			t.Fatalf("record %d = %q, want %q", i, got[i], records[i])
+			t.Fatalf("record %d differs: %d bytes read, %d written", i, len(got[i]), len(records[i]))
 		}
 	}
 }

@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -55,6 +57,37 @@ func TestChunkTornTail(t *testing.T) {
 	for cut := 0; cut < len(data); cut++ {
 		if _, _, err := DecodeChunk(data[:cut]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncate at %d: err = %v, want ErrCorrupt", cut, err)
+		}
+	}
+}
+
+// TestDeclaredLengthDoesNotDriveAllocation feeds a 77-byte stream whose
+// record claims almost 4 GiB: the readers must fail it as ErrCorrupt
+// having allocated about what the input holds, not what it claims. Chunk
+// bodies arrive from the network, so the claim is attacker-controlled.
+func TestDeclaredLengthDoesNotDriveAllocation(t *testing.T) {
+	data := []byte(segmentMagic)
+	data = binary.AppendUvarint(data, maxRecordLen-1)
+	data = append(data, make([]byte, 64)...)
+	if len(data) != 77 {
+		t.Fatalf("input is %d bytes, want 77", len(data))
+	}
+	for _, tc := range []struct {
+		name string
+		read func() error
+	}{
+		{"ReadSegment", func() error { _, err := ReadSegment(bytes.NewReader(data)); return err }},
+		{"DecodeChunk", func() error { _, _, err := DecodeChunk(data); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s allocated %d bytes for a %d-byte input", tc.name, grew, len(data))
 		}
 	}
 }

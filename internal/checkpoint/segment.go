@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // segmentMagic opens every segment file: a human-greppable tag plus a
@@ -17,8 +18,14 @@ const segmentMagic = "SBCKPT\x01\n"
 
 // maxRecordLen bounds a single record's payload. It exists purely so a
 // corrupt length prefix fails fast as ErrCorrupt instead of attempting a
-// multi-exabyte allocation; real snapshots stay far below it.
+// multi-exabyte read; real snapshots stay far below it.
 const maxRecordLen = 1 << 32
+
+// payloadStep is the most readPayload allocates ahead of the bytes that
+// have actually arrived: a length prefix is only a claim until the payload
+// is read, so a short input declaring gigabytes must fail as ErrCorrupt
+// without reserving them first.
+const payloadStep = 64 << 10
 
 // Writer appends checksummed records to a segment stream:
 //
@@ -123,8 +130,8 @@ func readRecords(r io.Reader) (records [][]byte, validOff int64, err error) {
 		if length > maxRecordLen {
 			return records, validOff, corruptf("record %d length %d exceeds limit", len(records), length)
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(sr, payload); err != nil {
+		payload, err := readPayload(sr, length)
+		if err != nil {
 			return records, validOff, corruptf("record %d payload (%v)", len(records), err)
 		}
 		var sum [sha256.Size]byte
@@ -137,6 +144,25 @@ func readRecords(r io.Reader) (records [][]byte, validOff int64, err error) {
 		records = append(records, payload)
 		validOff = sr.off
 	}
+}
+
+// readPayload reads exactly length bytes from r. The buffer starts at no
+// more than payloadStep bytes and at most doubles, only once full, so it
+// never holds more than twice the bytes read plus one step.
+func readPayload(r io.Reader, length uint64) ([]byte, error) {
+	payload := make([]byte, 0, min(length, payloadStep))
+	for uint64(len(payload)) < length {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, int(min(length-uint64(len(payload)), uint64(len(payload)))))
+		}
+		end := int(min(uint64(cap(payload)), length))
+		n, err := io.ReadFull(r, payload[len(payload):end])
+		payload = payload[:len(payload)+n]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return payload, nil
 }
 
 // ReadSegment reads a whole segment stream, validating the magic and every

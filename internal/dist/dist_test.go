@@ -75,11 +75,22 @@ func (tr *testRun) worker(id string, seed int64, fault *faults.ShardFault) *Work
 // and returns the distributed witness.
 func (tr *testRun) runWorkers(t *testing.T, workers ...*Worker) []byte {
 	t.Helper()
+	return tr.runWorkersAfter(t, nil, workers...)
+}
+
+// runWorkersAfter is runWorkers with a start gate: workers[0] starts at
+// once, the rest only when ready reports true. A nil ready starts every
+// worker at once.
+func (tr *testRun) runWorkersAfter(t *testing.T, ready func() bool, workers ...*Worker) []byte {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var wg sync.WaitGroup
 	errs := make([]error, len(workers))
 	for i, w := range workers {
+		for i == 1 && ready != nil && !ready() && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -147,7 +158,18 @@ func TestSingleWorkerOwnsAllSlices(t *testing.T) {
 func TestStallRecovery(t *testing.T) {
 	tr := newTestRun(t, 3, 3, 6, 200)
 	stall := &faults.ShardFault{Kind: "stall", Level: 2, Stall: 1200 * time.Millisecond}
-	got := tr.runWorkers(t, tr.worker("steady", 11, nil), tr.worker("sleepy", 12, stall))
+	// The sleepy worker joins alone and the steady one only once it holds
+	// a lease: started together, the steady worker can lease every slice
+	// and finish before the sleepy one has anything to stall.
+	sleepyHolds := func() bool {
+		for _, h := range tr.coord.ShardHealth() {
+			if h.Worker == "sleepy" {
+				return true
+			}
+		}
+		return false
+	}
+	got := tr.runWorkersAfter(t, sleepyHolds, tr.worker("sleepy", 12, stall), tr.worker("steady", 11, nil))
 	if want := tr.sequential(t); !bytes.Equal(got, want) {
 		t.Fatalf("witness after stall recovery differs:\n--- distributed\n%s--- sequential\n%s", got, want)
 	}

@@ -4,21 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/consensus"
 	"repro/internal/model"
 )
 
-// TestArenaMatchesLegacyFrontier is the packed hot path's equivalence
-// property: on every zoo protocol — DiskRace n=3 and a deep linear chain
-// included — the arena frontier (packed codec, stepper, raw pre-dedup)
-// and the legacy Config frontier must produce identical Counts, Steps,
-// visit IDs, canonical keys per ID, and visited fingerprint sets, for
-// both a single worker and a parallel pool. Run under -race it also
-// checks the arena path's synchronisation.
+// TestArenaMatchesLegacyFrontier holds the packed arena engine (packed
+// codec, stepper, raw pre-filter, parallel merge) to naiveReach on every
+// zoo protocol — DiskRace n=3 and a deep linear chain included: the same
+// Count, the same Steps when the space is exhausted, the same key for
+// every ID with one worker, and the same key set with a pool. Run under
+// -race it also checks the arena path's synchronisation.
 func TestArenaMatchesLegacyFrontier(t *testing.T) {
 	forcePool(t)
 	cases := equivalenceCases()
@@ -29,77 +29,53 @@ func TestArenaMatchesLegacyFrontier(t *testing.T) {
 	})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			type run struct {
-				res  *Result
-				keys []string
+			want, wantSteps, wantCapped := naiveReach(tc.config, tc.pids, tc.opts)
+			if wantCapped != tc.capped {
+				t.Fatalf("naive BFS capped=%v, case expects %v", wantCapped, tc.capped)
 			}
-			runWith := func(workers int, legacy bool) run {
+			for _, workers := range []int{1, 4} {
 				opts := tc.opts
 				opts.Workers = workers
-				opts.legacyFrontier = legacy
 				var keys []string
 				res, err := Reach(context.Background(), tc.config, tc.pids, opts, func(v Visit) bool {
 					if v.ID != len(keys) {
 						t.Fatalf("visit IDs not sequential: got %d at visit %d", v.ID, len(keys))
 					}
-					keys = append(keys, opts.ConfigKey(v.Config))
+					keys = append(keys, keyOf(opts, v.Config))
 					return true
 				})
 				if err != nil && !tc.capped {
-					t.Fatalf("workers=%d legacy=%v: %v", workers, legacy, err)
+					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				return run{res: res, keys: keys}
-			}
-			for _, workers := range []int{1, 4} {
-				legacy := runWith(workers, true)
-				packed := runWith(workers, false)
-				if packed.res.Count != legacy.res.Count {
-					t.Errorf("workers=%d: packed Count=%d, legacy=%d", workers, packed.res.Count, legacy.res.Count)
+				if res.Count != len(want) || len(keys) != len(want) {
+					t.Fatalf("workers=%d: Count=%d (%d visits), naive BFS visited %d", workers, res.Count, len(keys), len(want))
 				}
-				if !tc.capped && packed.res.Steps != legacy.res.Steps {
-					t.Errorf("workers=%d: packed Steps=%d, legacy=%d", workers, packed.res.Steps, legacy.res.Steps)
-				}
-				if len(packed.keys) != len(legacy.keys) {
-					t.Fatalf("workers=%d: packed visited %d configs, legacy %d", workers, len(packed.keys), len(legacy.keys))
+				if !tc.capped && res.Steps != wantSteps {
+					t.Errorf("workers=%d: Steps=%d, naive BFS %d", workers, res.Steps, wantSteps)
 				}
 				if workers == 1 {
-					// A single worker is fully deterministic: the packed
-					// path must reproduce the legacy visit sequence id
-					// for id, key for key.
-					for id := range packed.keys {
-						if packed.keys[id] != legacy.keys[id] {
-							t.Fatalf("workers=%d: id %d key %q (packed) != %q (legacy)",
-								workers, id, packed.keys[id], legacy.keys[id])
+					// A single worker is fully deterministic: the engine
+					// must reproduce the naive visit sequence id for id.
+					for id := range keys {
+						if keys[id] != want[id] {
+							t.Fatalf("id %d key %q, naive BFS %q", id, keys[id], want[id])
 						}
 					}
+					continue
 				}
-				if tc.capped && workers > 1 {
+				if tc.capped {
 					// Same-level duplicate election races across worker
 					// chunks, so a mid-level cap may truncate a different
 					// tail; only the count is comparable (checked above).
 					continue
 				}
-				// The visited fingerprint set — what dedup and checkpoints
-				// actually rely on — is deterministic per level even when
-				// representative election races: compare it sorted.
-				fps := func(keys []string) []Fingerprint {
-					out := make([]Fingerprint, len(keys))
-					for i, k := range keys {
-						out[i] = fingerprintOf(k)
-					}
-					sort.Slice(out, func(a, b int) bool {
-						if out[a][0] != out[b][0] {
-							return out[a][0] < out[b][0]
-						}
-						return out[a][1] < out[b][1]
-					})
-					return out
-				}
-				pf, lf := fps(packed.keys), fps(legacy.keys)
-				for i := range pf {
-					if pf[i] != lf[i] {
-						t.Fatalf("workers=%d: fingerprint sets diverge at %d", workers, i)
-					}
+				// Representative election may reorder a level, but the
+				// visited key set is deterministic.
+				got, sorted := slices.Clone(keys), slices.Clone(want)
+				slices.Sort(got)
+				slices.Sort(sorted)
+				if !slices.Equal(got, sorted) {
+					t.Fatalf("workers=%d: visited key set differs from naive BFS", workers)
 				}
 			}
 		})
@@ -107,17 +83,16 @@ func TestArenaMatchesLegacyFrontier(t *testing.T) {
 }
 
 // TestArenaPathsReplay: witness paths recorded by the packed path must
-// replay to configurations with the recorded canonical keys, exactly like
-// the legacy path's (covering the via/parent bookkeeping in the arena
-// merge).
+// replay to configurations with the recorded canonical keys (covering the
+// via/parent bookkeeping in the arena merge).
 func TestArenaPathsReplay(t *testing.T) {
 	forcePool(t)
 	disk := consensus.DiskRace{}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
-	opts := Options{KeyFn: disk.CanonicalKey, KeyTo: disk.CanonicalKeyTo, MaxConfigs: 4000, Workers: 4}
+	opts := Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 4000, Workers: 4}
 	var keys []string
 	res, err := Reach(context.Background(), c, []int{0, 1, 2}, opts, func(v Visit) bool {
-		keys = append(keys, opts.ConfigKey(v.Config))
+		keys = append(keys, keyOf(opts, v.Config))
 		return true
 	})
 	if err != nil && !errors.Is(err, ErrCapped) {
@@ -128,39 +103,30 @@ func TestArenaPathsReplay(t *testing.T) {
 		if !ok {
 			t.Fatalf("PathTo(%d) failed", id)
 		}
-		if got := opts.ConfigKey(model.RunPath(c, path)); got != key {
+		if got := keyOf(opts, model.RunPath(c, path)); got != key {
 			t.Fatalf("replay of id %d lands on %q, visited %q", id, got, key)
 		}
 	}
 }
 
-// TestArenaSpillMatchesLegacySpill drives both frontier representations
-// through the spill path (budget 1 spills every batch) and demands the
-// identical visit sequence: the packed spill chunks must round-trip
-// through disk exactly like the legacy Config chunks.
+// TestArenaSpillMatchesLegacySpill drives the engine through the spill
+// path (budget 1 spills every batch) and demands naiveReach's visit
+// sequence: the packed spill chunks must round-trip through disk without
+// reordering or losing an entry.
 func TestArenaSpillMatchesLegacySpill(t *testing.T) {
 	c := model.NewConfig(chainMachine{}, []model.Value{"4", "4"})
 	p := []int{0, 1}
-	run := func(legacy bool) []string {
-		opts := Options{Workers: 1, SpillDir: t.TempDir(), SpillBudget: 1}
-		opts.legacyFrontier = legacy
-		var keys []string
-		if _, err := Reach(context.Background(), c, p, opts, func(v Visit) bool {
-			keys = append(keys, opts.ConfigKey(v.Config))
-			return true
-		}); err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
-		return keys
+	opts := Options{Workers: 1, SpillDir: t.TempDir(), SpillBudget: 1}
+	var keys []string
+	if _, err := Reach(context.Background(), c, p, opts, func(v Visit) bool {
+		keys = append(keys, keyOf(opts, v.Config))
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
-	legacy, packed := run(true), run(false)
-	if len(legacy) != len(packed) {
-		t.Fatalf("packed spill visited %d configs, legacy %d", len(packed), len(legacy))
-	}
-	for i := range legacy {
-		if legacy[i] != packed[i] {
-			t.Fatalf("visit %d: packed %q, legacy %q", i, packed[i], legacy[i])
-		}
+	want, _, _ := naiveReach(c, p, opts)
+	if !slices.Equal(keys, want) {
+		t.Fatalf("spilled visit sequence %q, naive BFS %q", keys, want)
 	}
 }
 
@@ -187,6 +153,23 @@ func TestMixWordsDistinctness(t *testing.T) {
 	check([]uint64{1, 2, 0, 0})
 	check([]uint64{0})
 	check([]uint64{})
+}
+
+// fingerprintFNV128 is the retired FNV-1a digest, kept as an independent
+// reference implementation: the migration tests run it alongside mix128
+// over the same key populations and require both to be injective, so a
+// defect in the new mix cannot hide behind its own output.
+func fingerprintFNV128(key string) Fingerprint {
+	h := fnv.New128a()
+	_, _ = h.Write([]byte(key))
+	var sum [16]byte
+	h.Sum(sum[:0])
+	var fp Fingerprint
+	for i := 0; i < 8; i++ {
+		fp[0] = fp[0]<<8 | uint64(sum[i])
+		fp[1] = fp[1]<<8 | uint64(sum[8+i])
+	}
+	return fp
 }
 
 // TestFNVReferenceFingerprintDistinctness keeps the retired FNV-128

@@ -6,7 +6,7 @@
 // The paper's arguments quantify over "P-only executions from C". For the
 // protocols this repository attacks, the set of configurations reachable by
 // P-only executions is finite modulo the protocol's canonicalisation (see
-// Options.KeyFn), so breadth-first search decides those quantifiers
+// Options.KeyTo), so breadth-first search decides those quantifiers
 // exactly. Caps guard against unbounded spaces: when a cap binds, the
 // search reports it explicitly instead of silently returning partial truth.
 //
@@ -61,22 +61,17 @@ type Options struct {
 	MaxConfigs int
 	// MaxDepth caps the BFS depth (schedule length). Zero means no cap.
 	MaxDepth int
-	// KeyFn, when non-nil, replaces Config.Key as the state identity used
-	// for deduplication. Protocols with unbounded-but-symmetric state
+	// KeyTo, when non-nil, replaces Config.KeyTo as the state identity
+	// used for deduplication, streaming the key into w without
+	// materialising a string. Protocols with unbounded-but-symmetric state
 	// (e.g. DiskRace's ballots) supply a canonicalising key that quotients
 	// the space by a bisimulation, making exhaustive search terminate.
 	// The function must identify only behaviourally equivalent
 	// configurations; consensus.TestDiskRaceCanonicalBisimulation is the
-	// guard for the one canonicaliser this repository ships.
-	KeyFn func(model.Config) string
-	// KeyTo, when non-nil, streams the same identity as KeyFn (or
-	// Config.Key when KeyFn is nil) into w without materialising a
-	// string; the hot path prefers it. The two forms must agree byte for
-	// byte — the string form stays the reference implementation, and
-	// TestStreamingKeysMatchStringKeys cross-checks them. A KeyTo must be
-	// safe for concurrent use from multiple workers (stream into w only;
-	// any internal scratch must be pooled, as consensus.CanonicalKeyTo
-	// does).
+	// guard for the one canonicaliser this repository ships. A KeyTo must
+	// be safe for concurrent use from multiple workers (stream into w
+	// only; any internal scratch must be pooled, as
+	// consensus.CanonicalKeyTo does).
 	KeyTo func(w model.KeyWriter, c model.Config)
 	// Workers is the number of frontier-expansion workers. Zero means
 	// GOMAXPROCS; 1 forces single-threaded expansion. Worker count never
@@ -103,27 +98,13 @@ type Options struct {
 	ResumeFrom *LevelCheckpoint
 	// SpillDir, with a positive SpillBudget, enables the frontier spill
 	// governor: when the accumulating next level exceeds SpillBudget bytes
-	// of retained configurations, cold chunks are flushed to id-list files
-	// under SpillDir and rebuilt by path replay when their turn comes.
+	// of packed frontier records, cold chunks are flushed to files under
+	// SpillDir and read back when their turn comes.
 	// Spilling never changes visit order, ids or witness paths.
 	SpillDir string
 	// SpillBudget is the approximate in-memory frontier byte budget; <= 0
 	// disables spilling.
 	SpillBudget int64
-	// legacyFrontier selects the original retained-Config frontier and
-	// Apply-per-transition expansion instead of the packed arena engine.
-	// Unexported: it exists so the equivalence tests can hold the two
-	// engines to identical results, not as a user-facing knob.
-	legacyFrontier bool
-}
-
-// ConfigKey returns the state identity of c under these options, in its
-// string reference form.
-func (o Options) ConfigKey(c model.Config) string {
-	if o.KeyFn != nil {
-		return o.KeyFn(c)
-	}
-	return c.Key()
 }
 
 // DefaultMaxConfigs is the visited-configuration cap used when
@@ -242,11 +223,10 @@ func Apply(c model.Config, m model.Move) model.Config {
 	return c.StepDet(m.Pid)
 }
 
-// levelEntry is one frontier configuration awaiting expansion. In packed
-// mode words is the entry's record in the frontier arena (the parent
-// template child packing patches); legacy mode leaves it nil.
+// levelEntry is one frontier configuration awaiting expansion: its node id
+// and its record in the frontier arena (the parent template child packing
+// patches).
 type levelEntry struct {
-	cfg   model.Config
 	id    int32
 	words []uint64
 }
@@ -282,22 +262,21 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 	if opts.workers() <= 1 {
 		mkSet = newFPSetLocal
 	}
+	codec := model.NewPackedCodec(c)
 	s := &search{
 		ctx:        ctx,
 		opts:       opts,
 		p:          p,
 		maxConfigs: maxConfigs,
 		visited:    mkSet(),
+		rawSeen:    mkSet(),
 		scratch:    newWorkerScratch(),
 		metrics:    newSearchMetrics(opts.Obs),
-	}
-	if !opts.legacyFrontier {
-		s.codec = model.NewPackedCodec(c)
-		s.stride = s.codec.Words()
-		s.rawSeen = mkSet()
+		codec:      codec,
+		stride:     codec.Words(),
 	}
 	defer s.stopWorkers()
-	gov := newSpillGovernor(&opts, c, s.stride)
+	gov := newSpillGovernor(&opts, s.stride)
 
 	var level, next frontier
 	level.stride, next.stride = s.stride, s.stride
@@ -317,15 +296,11 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 			res.Capped = true
 			return res, fmt.Errorf("reach from %d procs: %w", len(p), ErrCapped)
 		}
-		if s.codec != nil {
-			rec := make([]uint64, s.stride)
-			if err := s.codec.PackTo(rec, c); err != nil {
-				return res, fmt.Errorf("reach root: %w", err)
-			}
-			level.addPacked(0, rec, nil)
-		} else {
-			level.mem = append(level.mem, levelEntry{cfg: c, id: 0})
+		rec := make([]uint64, s.stride)
+		if err := s.codec.PackTo(rec, c); err != nil {
+			return res, fmt.Errorf("reach root: %w", err)
 		}
+		level.add(0, rec, nil)
 	}
 
 	var buf batchBuf
@@ -343,8 +318,8 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 			res.PeakFrontier = n
 		}
 		// The consumed frontier two levels back becomes the next
-		// accumulator; clearing it drops its configuration references, so
-		// the frontier's live heap stays bounded by two adjacent levels
+		// accumulator; clearing it keeps its arena for reuse, so the
+		// frontier's live heap stays bounded by two adjacent levels
 		// (see TestReachFrontierBoundedLiveHeap).
 		next.clear()
 		levelDups := 0
@@ -359,7 +334,7 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 				if isSpill {
 					reloadStart = time.Now()
 				}
-				batch, err := level.batch(bi, res, c, &buf)
+				batch, err := level.batch(bi, &buf)
 				if err != nil {
 					res.Capped = true
 					return fmt.Errorf("reach frontier: %w (and %w)", err, ErrCapped)
@@ -401,11 +376,7 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 							res.Capped = true
 							return fmt.Errorf("reach hit %d configs: %w", maxConfigs, ErrCapped)
 						}
-						if s.codec != nil {
-							next.addPacked(id, ch.words[i*s.stride:(i+1)*s.stride], gov)
-						} else {
-							next.add(levelEntry{cfg: sl.cfg, id: id}, gov)
-						}
+						next.add(id, ch.words[i*s.stride:(i+1)*s.stride], gov)
 					}
 				}
 			}

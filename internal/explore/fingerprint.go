@@ -2,7 +2,6 @@ package explore
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -21,8 +20,8 @@ import (
 //
 // The digest is mix128, a wyhash-style multiply-fold mix that consumes the
 // key eight bytes per load instead of FNV-128a's one multiply per byte;
-// the old FNV digest is retained as fingerprintFNV128, the cross-checked
-// reference the migration tests hold the new hash against (DESIGN.md S22).
+// the old FNV digest survives only in the tests, as fingerprintFNV128, the
+// cross-checked reference they hold the new hash against (DESIGN.md S22).
 // Fingerprints are durable (checkpoint snapshots persist them), so
 // FingerprintVersion names the active function and changes whenever it
 // does.
@@ -93,13 +92,6 @@ func mix128(p []byte) Fingerprint {
 	return Fingerprint{h1, h2}
 }
 
-// fingerprintOf digests an already-materialised key string. It is the
-// reference form of hasher.fingerprint; the streaming path must produce
-// identical fingerprints (TestStreamingKeysMatchStringKeys).
-func fingerprintOf(key string) Fingerprint {
-	return mix128([]byte(key))
-}
-
 // mixWords digests a packed record (a []uint64 instance-local encoding)
 // with the same mixing rounds as mix128. It keys the raw-identity
 // pre-filters of Reach and ReachMasked: packed records are exact
@@ -128,23 +120,6 @@ func mixWords(ws []uint64) Fingerprint {
 	return Fingerprint{h1, h2}
 }
 
-// fingerprintFNV128 is the retired FNV-1a digest, kept as an independent
-// reference implementation: the migration tests run it alongside mix128
-// over the same key populations and require both to be injective, so a
-// defect in the new mix cannot hide behind its own output.
-func fingerprintFNV128(key string) Fingerprint {
-	h := fnv.New128a()
-	_, _ = h.Write([]byte(key))
-	var sum [16]byte
-	h.Sum(sum[:0])
-	var fp Fingerprint
-	for i := 0; i < 8; i++ {
-		fp[0] = fp[0]<<8 | uint64(sum[i])
-		fp[1] = fp[1]<<8 | uint64(sum[8+i])
-	}
-	return fp
-}
-
 // hasher is per-worker scratch for streaming a configuration's canonical
 // key into a fingerprint without materialising it. Not safe for
 // concurrent use.
@@ -156,17 +131,13 @@ func newHasher() *hasher {
 	return &hasher{}
 }
 
-// fingerprint digests c's canonical key under opts. Preference order:
-// KeyTo (pure streaming), then KeyFn (string materialised, then hashed —
-// still correct, just slower), then Config.KeyTo.
+// fingerprint digests c's canonical key under opts: opts.KeyTo when set,
+// Config.KeyTo otherwise.
 func (hs *hasher) fingerprint(opts *Options, c model.Config) Fingerprint {
 	hs.kb.Reset()
-	switch {
-	case opts.KeyTo != nil:
+	if opts.KeyTo != nil {
 		opts.KeyTo(&hs.kb, c)
-	case opts.KeyFn != nil:
-		_, _ = hs.kb.WriteString(opts.KeyFn(c))
-	default:
+	} else {
 		c.KeyTo(&hs.kb)
 	}
 	return mix128(hs.kb.Bytes())

@@ -75,7 +75,7 @@ type MaskedResult struct {
 // before its moves, and the search stops as soon as none remain. A visit
 // error aborts the search and is returned as is.
 //
-// Of opts only MaxConfigs and the state identity (KeyFn/KeyTo) apply: the
+// Of opts only MaxConfigs and the state identity (KeyTo) apply: the
 // search is capped — Capped set, no error — once Count reaches MaxConfigs,
 // checked after every insertion and before every dequeue. ctx
 // cancellation returns an error wrapping ctx.Err(). The result is never

@@ -18,7 +18,7 @@ import (
 // describe the level it was cut in.
 func TestReachMaskedSingleCandidateMatchesReach(t *testing.T) {
 	disk := consensus.DiskRace{}
-	diskOpts := Options{KeyFn: disk.CanonicalKey, KeyTo: disk.CanonicalKeyTo, Workers: 1}
+	diskOpts := Options{KeyTo: disk.CanonicalKeyTo, Workers: 1}
 	cases := []struct {
 		name string
 		c    model.Config
@@ -26,7 +26,7 @@ func TestReachMaskedSingleCandidateMatchesReach(t *testing.T) {
 		opts Options
 	}{
 		{"diskrace-n3", model.NewConfig(disk, []model.Value{"0", "1", "1"}), []int{0, 1}, diskOpts},
-		{"diskrace-n3-capped", model.NewConfig(disk, []model.Value{"0", "1", "1"}), []int{0, 1, 2}, Options{KeyFn: disk.CanonicalKey, KeyTo: disk.CanonicalKeyTo, Workers: 1, MaxConfigs: 700}},
+		{"diskrace-n3-capped", model.NewConfig(disk, []model.Value{"0", "1", "1"}), []int{0, 1, 2}, Options{KeyTo: disk.CanonicalKeyTo, Workers: 1, MaxConfigs: 700}},
 		{"flood-n3", model.NewConfig(consensus.Flood{}, []model.Value{"0", "1", "0"}), []int{0, 2}, Options{Workers: 1}},
 		{"coinflood-n2", model.NewConfig(consensus.CoinFlood{}, []model.Value{"0", "1"}), []int{0, 1}, Options{Workers: 1}},
 	}
@@ -34,7 +34,7 @@ func TestReachMaskedSingleCandidateMatchesReach(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var wantOrder []string
 			want, err := Reach(context.Background(), tc.c, tc.p, tc.opts, func(v Visit) bool {
-				wantOrder = append(wantOrder, tc.opts.ConfigKey(v.Config))
+				wantOrder = append(wantOrder, keyOf(tc.opts, v.Config))
 				return true
 			})
 			if err != nil && !errors.Is(err, ErrCapped) {
@@ -46,7 +46,7 @@ func TestReachMaskedSingleCandidateMatchesReach(t *testing.T) {
 				allowed[i] = 1
 			}
 			got, err := ReachMasked(context.Background(), tc.c, tc.p, allowed, tc.opts, func(v MaskedVisit) (uint64, error) {
-				gotOrder = append(gotOrder, tc.opts.ConfigKey(v.Config))
+				gotOrder = append(gotOrder, keyOf(tc.opts, v.Config))
 				return 1, nil
 			})
 			if err != nil {
@@ -104,7 +104,7 @@ func TestReachMaskedCandidateSpaces(t *testing.T) {
 	}
 	var nodes []visited
 	res, err := ReachMasked(context.Background(), c, p, allowed, opts, func(v MaskedVisit) (uint64, error) {
-		key := opts.ConfigKey(v.Config)
+		key := keyOf(opts, v.Config)
 		for k := range cands {
 			if v.Mask&(1<<uint(k)) != 0 {
 				spaces[k][key] = true
@@ -138,7 +138,7 @@ func TestReachMaskedCandidateSpaces(t *testing.T) {
 	for k, cand := range cands {
 		want := make(map[string]bool)
 		if _, err := Reach(context.Background(), c, cand, opts, func(v Visit) bool {
-			want[opts.ConfigKey(v.Config)] = true
+			want[keyOf(opts, v.Config)] = true
 			return true
 		}); err != nil {
 			t.Fatal(err)

@@ -30,7 +30,7 @@ type searchMetrics struct {
 	dictVals     *obs.Gauge     // codec interned value count
 	dictStateSh  *obs.Gauge     // fullest state key-map shard (balance check)
 	dictValSh    *obs.Gauge     // fullest value key-map shard
-	spillReload  *obs.Histogram // per-chunk spill replay latency, micros
+	spillReload  *obs.Histogram // per-chunk spill reload latency, micros
 	spillReloads *obs.Counter   // spilled chunks reloaded
 }
 
@@ -99,7 +99,7 @@ func (m *searchMetrics) level(s *search, next *frontier) {
 	}
 }
 
-// spillReloaded records one spilled chunk's replay-from-disk latency.
+// spillReloaded records one spilled chunk's reload-from-disk latency.
 func (m *searchMetrics) spillReloaded(d time.Duration) {
 	m.spillReloads.Add(1)
 	m.spillReload.Observe(d.Microseconds())

@@ -16,14 +16,14 @@ import (
 // duplicates (and hence the exact witness path) can vary between runs,
 // which is safe because equal fingerprints mean equal canonical keys.
 //
-// In the default packed mode, workers step into per-goroutine scratch
-// (model.StepInto) and encode each surviving child as a fixed-width packed
-// record by patching its parent's record — one state field, plus one value
-// field when the parent was write-poised — so the per-transition cost is a
-// scratch step, a streamed fingerprint and at most two dictionary lookups,
-// with no per-child slice allocations. The reference mode (Options.
-// legacyFrontier) keeps the original Apply-per-transition path; the
-// equivalence tests drive both and require identical results.
+// Workers step packed records through a per-goroutine memoising stepper
+// (model.PackedStepper), so each surviving child is a fixed-width packed
+// record patched from its parent's — one state field, plus one value field
+// when the parent was write-poised — and the per-transition cost is a
+// memoised step, a raw-record pre-filter, a streamed fingerprint and at
+// most two dictionary lookups, with no per-child slice allocations. The
+// equivalence tests hold the engine to a naive Config-level BFS
+// (naive_test.go) and require identical results.
 
 // chunksPerWorker over-partitions each level so a slow chunk does not
 // leave the rest of the pool idle.
@@ -49,9 +49,9 @@ type childSlot struct {
 
 // chunk is one contiguous slice [lo,hi) of the level being expanded, plus
 // the expansion output. Slot and arena buffers persist across levels to
-// keep the steady state allocation-free. In packed mode words holds the
-// packed record of slots[i] at [i*stride, (i+1)*stride) and slab owns the
-// slot configurations until the coordinator has merged them.
+// keep the steady state allocation-free. words holds the packed record of
+// slots[i] at [i*stride, (i+1)*stride) and slab owns the slot
+// configurations until the coordinator has merged them.
 type chunk struct {
 	lo, hi   int
 	slots    []childSlot
@@ -68,12 +68,10 @@ type chunk struct {
 	stepMisses uint64
 }
 
-// workerScratch is the per-goroutine reusable state: a moves buffer (legacy
-// mode), the packed transition engine with its memos and child buffers
-// (packed mode), and a streaming key hasher. The packed pieces are built
-// lazily on the first packed chunk the goroutine expands.
+// workerScratch is the per-goroutine reusable state: the packed transition
+// engine with its memos and child buffers, and a streaming key hasher. The
+// packed pieces are built lazily on the first chunk the goroutine expands.
 type workerScratch struct {
-	moves      []model.Move
 	stepper    *model.PackedStepper
 	childWords []uint64
 	ustates    []model.State
@@ -112,7 +110,7 @@ type search struct {
 	metrics searchMetrics  // flight-recorder instruments, resolved once per Reach
 
 	// codec is the packed-configuration dictionary shared by all workers;
-	// nil in the legacy reference mode. stride is codec.Words().
+	// stride is codec.Words().
 	codec  *model.PackedCodec
 	stride int
 
@@ -165,6 +163,19 @@ func (s *search) expandLevel(level []levelEntry) []chunk {
 // conditions guarantee the coordinator caps the result, so truncated
 // output is never mistaken for exhaustion. A packing failure (dictionary
 // capacity) is parked in ch.err for the coordinator.
+//
+// The loop never touches a model.Config on the fast path: moves are
+// enumerated from the parent's interned state ids, transitions run through
+// the per-worker stepper memo directly on the packed words, and a
+// raw-identity pre-filter (a hash of the packed record itself) screens out
+// transitions that rebuild an already-produced record before the canonical
+// key is ever streamed. Only raw-fresh children are unpacked and
+// fingerprinted canonically.
+//
+// The pre-filter is a pure shortcut: packed records are exact, so a
+// raw-duplicate's canonical fingerprint was already added to the visited
+// set when its identical twin was processed — skipping it cannot change
+// the visited set, the visit sequence or the counters.
 func (s *search) expandRange(ch *chunk, ws *workerScratch) {
 	// The previous level's slots were merged before this chunk was
 	// redispatched, so retiring the slab here cannot orphan a live clone.
@@ -175,49 +186,6 @@ func (s *search) expandRange(ch *chunk, ws *workerScratch) {
 	ch.err = nil
 	ch.rawHits = 0
 	ch.stepHits, ch.stepMisses = 0, 0
-	if s.codec != nil {
-		s.expandRangePacked(ch, ws)
-		return
-	}
-	steps := 0
-	for i := ch.lo; i < ch.hi; i++ {
-		ent := &s.level[i]
-		ws.moves = AppendMoves(ws.moves[:0], ent.cfg, s.p)
-		for _, m := range ws.moves {
-			steps++
-			if steps%cancelPollStride == 0 {
-				if s.ctx.Err() != nil || s.visited.Len() > s.maxConfigs {
-					return
-				}
-			}
-			child := Apply(ent.cfg, m)
-			if !s.visited.Add(ws.fingerprint(&s.opts, child)) {
-				ch.dupSteps++
-				continue
-			}
-			via, err := model.PackMove(m)
-			if err != nil {
-				ch.err = err
-				return
-			}
-			ch.slots = append(ch.slots, childSlot{cfg: child, via: via, parent: ent.id})
-		}
-	}
-}
-
-// expandRangePacked is the packed-mode hot loop. It never touches a
-// model.Config on the fast path: moves are enumerated from the parent's
-// interned state ids, transitions run through the per-worker stepper memo
-// directly on the packed words, and a raw-identity pre-filter (a hash of
-// the packed record itself) screens out transitions that rebuild an
-// already-produced record before the canonical key is ever streamed. Only
-// raw-fresh children are unpacked and fingerprinted canonically.
-//
-// The pre-filter is a pure shortcut: packed records are exact, so a
-// raw-duplicate's canonical fingerprint was already added to the visited
-// set when its identical twin was processed — skipping it cannot change
-// the visited set, the visit sequence or the counters.
-func (s *search) expandRangePacked(ch *chunk, ws *workerScratch) {
 	ws.initPacked(s.codec)
 	h0, m0 := ws.stepper.Stats()
 	defer func() {
@@ -278,7 +246,7 @@ func (s *search) expandRangePacked(ch *chunk, ws *workerScratch) {
 }
 
 // coinOutcomes lists the two coin results in the order AppendMoves emits
-// them, so packed and legacy mode expand transitions identically.
+// them, so the engine expands transitions in Moves order.
 var coinOutcomes = [2]model.Value{"0", "1"}
 
 func (s *search) ensureChunks(n int) {

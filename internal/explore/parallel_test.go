@@ -28,6 +28,10 @@ type equivalenceCase struct {
 	config model.Config
 	pids   []int
 	opts   Options
+	// strKey is the string form of the case's state identity, the
+	// reference TestStreamingKeysMatchStringKeys holds opts.KeyTo to; nil
+	// means Config.Key.
+	strKey func(model.Config) string
 	// capped marks cases whose space intentionally overflows MaxConfigs:
 	// Count must still be deterministic (the merge caps at exactly the
 	// same configuration for any worker count), but Steps may differ with
@@ -62,13 +66,15 @@ func equivalenceCases() []equivalenceCase {
 			name:   "diskrace3-pair",
 			config: model.NewConfig(disk, []model.Value{"0", "1", "1"}),
 			pids:   []int{0, 1},
-			opts:   Options{KeyFn: disk.CanonicalKey, KeyTo: disk.CanonicalKeyTo, MaxConfigs: 60000},
+			opts:   Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 60000},
+			strKey: disk.CanonicalKey,
 		},
 		{
 			name:   "diskrace3-capped",
 			config: model.NewConfig(disk, []model.Value{"0", "1", "1"}),
 			pids:   []int{0, 1, 2},
-			opts:   Options{KeyFn: disk.CanonicalKey, KeyTo: disk.CanonicalKeyTo, MaxConfigs: 3000},
+			opts:   Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 3000},
+			strKey: disk.CanonicalKey,
 			capped: true,
 		},
 	}
@@ -98,7 +104,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 					if v.ID != len(keys) {
 						t.Fatalf("visit IDs not sequential: got %d at visit %d", v.ID, len(keys))
 					}
-					keys = append(keys, opts.ConfigKey(v.Config))
+					keys = append(keys, keyOf(opts, v.Config))
 					return true
 				})
 				if tc.capped {
@@ -131,7 +137,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 					if !ok {
 						t.Fatalf("workers=%d: PathTo(%d) failed", workers, id)
 					}
-					got := opts.ConfigKey(model.RunPath(tc.config, path))
+					got := keyOf(opts, model.RunPath(tc.config, path))
 					if got != key {
 						t.Fatalf("workers=%d: replay of id %d lands on %q, visited %q", workers, id, got, key)
 					}
@@ -147,7 +153,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 func TestParallelSequentialEquivalenceDefaultThresholds(t *testing.T) {
 	disk := consensus.DiskRace{}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
-	opts := Options{KeyFn: disk.CanonicalKey, KeyTo: disk.CanonicalKeyTo, MaxConfigs: 60000}
+	opts := Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 60000}
 	counts := make(map[int]int)
 	for _, workers := range []int{1, 4} {
 		o := opts
@@ -171,13 +177,17 @@ func TestStreamingKeysMatchStringKeys(t *testing.T) {
 	for _, tc := range equivalenceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
+			strKey := tc.strKey
+			if strKey == nil {
+				strKey = model.Config.Key
+			}
 			hs := newHasher()
 			checked := 0
 			_, err := Reach(context.Background(), tc.config, tc.pids, opts, func(v Visit) bool {
-				want := fingerprintOf(opts.ConfigKey(v.Config))
-				if got := hs.fingerprint(&opts, v.Config); got != want {
+				key := strKey(v.Config)
+				if got, want := hs.fingerprint(&opts, v.Config), fingerprintOf(key); got != want {
 					t.Fatalf("config %d: streamed fingerprint %x != string fingerprint %x (key %q)",
-						v.ID, got, want, opts.ConfigKey(v.Config))
+						v.ID, got, want, key)
 				}
 				checked++
 				return checked < 5000

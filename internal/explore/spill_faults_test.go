@@ -169,7 +169,7 @@ func TestSpillGovernorDisablesOnFaultyDisk(t *testing.T) {
 	})
 	g := &spillGovernor{dir: t.TempDir(), budget: 1}
 	f := &frontier{stride: 1}
-	f.addPacked(1, []uint64{42}, nil)
+	f.add(1, []uint64{42}, nil)
 	f.memBytes = 100 // force over budget
 	g.maybeSpill(f)
 	if !g.disabled {

@@ -19,11 +19,11 @@ const (
 // canonicalisers) remain the reference implementations, and the explore
 // package cross-checks the two in its tests.
 //
-// The contract for any key-producing function (a KeyFn, a KeyTo, a state's
-// Key): equal byte streams must imply behaviourally equivalent
-// configurations, and behaviourally distinct configurations must produce
-// distinct streams. Dedup soundness in the exploration engine rests
-// entirely on this property.
+// The contract for any key-producing function (a KeyTo, a state's Key):
+// equal byte streams must imply behaviourally equivalent configurations,
+// and behaviourally distinct configurations must produce distinct streams.
+// Dedup soundness in the exploration engine rests entirely on this
+// property.
 type KeyWriter interface {
 	// Write appends p (io.Writer-compatible; the error is always nil for
 	// the sinks this repository ships).
