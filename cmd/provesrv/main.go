@@ -152,7 +152,7 @@ func run() error {
 		// The coordinator's barrier state is as durable as the job state:
 		// journalled under -data-dir, recovered synchronously before the
 		// listener opens, so a restarted provesrv resumes the coordinated
-		// run at the exact level and phase it died in.
+		// run at the exact level it died in.
 		dir := *distDir
 		if dir == "" {
 			dir = filepath.Join(*dataDir, "dist")
@@ -170,8 +170,8 @@ func run() error {
 				return fmt.Errorf("dist journal recovery: %w", err)
 			}
 			st := coord.Status()
-			fmt.Fprintf(os.Stderr, "provesrv: coordinator recovered to level %d (%s phase), generation %d\n",
-				st.Level, st.Phase, st.Gen)
+			fmt.Fprintf(os.Stderr, "provesrv: coordinator recovered to level %d, generation %d\n",
+				st.Level, st.Gen)
 		}
 		mounts = append(mounts, server.Mount{Pattern: "/dist/", Handler: coord.Handler()})
 		fmt.Fprintf(os.Stderr, "provesrv: coordinating %s n=%d over %d slices\n", *distProtocol, *distN, *distSlices)

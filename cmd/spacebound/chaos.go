@@ -171,6 +171,10 @@ func runChaos(ctx context.Context, df distFlags, protocol string, n int, witness
 			st, stErr := chaosStatus(client, base+"/dist/status")
 			if stErr == nil {
 				if st.Done {
+					// Reap the coordinator first: it still writes its witness
+					// into the work directory, which the caller may delete.
+					_ = coordCmd.Process.Kill()
+					<-coordWait
 					return fmt.Errorf("run finished before the scripted coordinator kill at level %d fired", sched.Coord.Level)
 				}
 				if st.Level >= sched.Coord.Level {
@@ -210,8 +214,8 @@ func runChaos(ctx context.Context, df distFlags, protocol string, n int, witness
 		if st.Gen < 1 {
 			return fmt.Errorf("restarted coordinator reports generation %d, want a post-recovery bump", st.Gen)
 		}
-		fmt.Fprintf(os.Stderr, "spacebound: chaos: coordinator back at level %d (%s phase), generation %d, outage %v\n",
-			st.Level, st.Phase, st.Gen, readyAt.Sub(killedAt).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "spacebound: chaos: coordinator back at level %d, generation %d, outage %v\n",
+			st.Level, st.Gen, readyAt.Sub(killedAt).Round(time.Millisecond))
 	}
 
 	// Collect every worker's verdict. Victims (scripted kills) must die by

@@ -26,12 +26,12 @@
 // testing; -dist-sequential runs the single-process reference whose witness
 // a distributed run must reproduce byte for byte.
 //
-// -dist-journal makes the coordinator crash-recoverable: barrier marks,
-// slice checkpoints, and retained exchange chunks are persisted to a
-// write-ahead journal plus periodic snapshots in that directory, and a
-// coordinator restarted over the same directory resumes the barrier at the
-// exact level and phase it died in (leases are not persisted — workers
-// re-acquire under a fenced new generation). -dist-journal-fault injects
+// -dist-journal makes the coordinator crash-recoverable: barrier marks
+// (which are the slice checkpoints) and retained exchange chunks are
+// persisted to a write-ahead journal plus periodic snapshots in that
+// directory, and a coordinator restarted over the same directory resumes
+// the barrier at the exact level it died in (leases are not persisted —
+// workers re-acquire under a fenced new generation). -dist-journal-fault injects
 // filesystem faults into the journal's writes for testing; a faulted
 // journal degrades to memory-only operation rather than failing the run.
 //

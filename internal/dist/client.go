@@ -182,14 +182,6 @@ func (cl *client) heartbeat(ctx context.Context) error {
 	return err
 }
 
-func (cl *client) putCheckpoint(ctx context.Context, slice, level int, body []byte) error {
-	q := cl.workerQuery()
-	q.Set("slice", strconv.Itoa(slice))
-	q.Set("level", strconv.Itoa(level))
-	_, _, err := cl.do(ctx, http.MethodPost, "/dist/checkpoint", q, body)
-	return err
-}
-
 func (cl *client) getCheckpoint(ctx context.Context, slice int) (*SliceCheckpoint, error) {
 	q := url.Values{"slice": {strconv.Itoa(slice)}}
 	body, _, err := cl.do(ctx, http.MethodGet, "/dist/checkpoint", q, nil)
@@ -253,23 +245,14 @@ func (cl *client) getChunk(ctx context.Context, level, from, to int, retried fun
 		level, from, to, clientAttempts, lastErr)
 }
 
-func (cl *client) postExpanded(ctx context.Context, slice, level int, steps int64) error {
+// postMark posts a slice's barrier mark: its encoded checkpoint for the
+// finished level, with the slice epoch the mark was computed under.
+func (cl *client) postMark(ctx context.Context, slice, level, epoch int, body []byte) error {
 	q := cl.workerQuery()
 	q.Set("slice", strconv.Itoa(slice))
 	q.Set("level", strconv.Itoa(level))
-	q.Set("steps", strconv.FormatInt(steps, 10))
-	_, _, err := cl.do(ctx, http.MethodPost, "/dist/expanded", q, nil)
-	return err
-}
-
-func (cl *client) postIngested(ctx context.Context, slice, level int, fresh int64, digest [2]uint64) error {
-	q := cl.workerQuery()
-	q.Set("slice", strconv.Itoa(slice))
-	q.Set("level", strconv.Itoa(level))
-	q.Set("fresh", strconv.FormatInt(fresh, 10))
-	q.Set("digest0", strconv.FormatUint(digest[0], 16))
-	q.Set("digest1", strconv.FormatUint(digest[1], 16))
-	_, _, err := cl.do(ctx, http.MethodPost, "/dist/ingested", q, nil)
+	q.Set("epoch", strconv.Itoa(epoch))
+	_, _, err := cl.do(ctx, http.MethodPost, "/dist/expanded", q, body)
 	return err
 }
 

@@ -12,34 +12,24 @@ import (
 	"repro/internal/obs"
 )
 
-// Phase names of the per-level two-phase barrier.
-const (
-	phaseExpand = "expand"
-	phaseIngest = "ingest"
-	phaseDone   = "done"
-)
-
 // sliceInfo is the coordinator's book-keeping for one fingerprint slice.
 type sliceInfo struct {
 	owner     string // worker id, "" while unowned
 	grantedAt time.Time
 
-	// ckpt is the slice's newest checkpoint (segment bytes) and the level
-	// it was taken at. Reassignment hands these to the new owner.
+	// ckpt is the slice's newest checkpoint (segment bytes), the level it
+	// finished, and that level's stats. The checkpoint is the slice's
+	// barrier mark: the slice has marked the current level exactly when
+	// ckptLevel equals it. Reassignment hands the checkpoint to the new
+	// owner, and nothing ever clears it.
 	ckpt      []byte
 	ckptLevel int
 	hasCkpt   bool
+	steps     int64
+	fresh     int64
+	digest    explore.Fingerprint
 	everOwned bool
 	epoch     int
-
-	// Per-current-level barrier marks and stats. Posts are idempotent
-	// overwrites: a redone expansion or ingest produces the same
-	// deterministic values, so the last write is as good as the first.
-	expanded bool
-	ingested bool
-	steps    int64
-	fresh    int64
-	digest   explore.Fingerprint
 
 	reassigns int
 }
@@ -99,10 +89,9 @@ type Coordinator struct {
 // in-memory test runs up to minutes for reassignment-delayed levels.
 var ExchangeLatencyBoundsMicros = []int64{1000, 5000, 10000, 50000, 100000, 500000, 1000000, 5000000, 30000000, 120000000}
 
-// NewCoordinator builds a coordinator for the run described by spec. root
-// and opts must describe the same exploration every worker will run; the
-// coordinator itself only ever fingerprints the root (level 0 is seeded
-// here, before any worker exists).
+// NewCoordinator builds a coordinator for the run described by spec.
+// rootFP, the root configuration's fingerprint, identifies the explored
+// space: a journal written for another root is refused on attach.
 func NewCoordinator(spec Spec, rootFP explore.Fingerprint, scope *obs.Scope) (*Coordinator, error) {
 	if spec.Slices < 1 {
 		return nil, fmt.Errorf("dist: %d slices", spec.Slices)
@@ -119,7 +108,6 @@ func NewCoordinator(spec Spec, rootFP explore.Fingerprint, scope *obs.Scope) (*C
 		scope:   scope,
 		workers: make(map[string]time.Time),
 		slices:  make([]sliceInfo, spec.Slices),
-		levels:  []LevelStat{{Fresh: 1, Digest: rootFP}},
 		chunks:  make(map[chunkKey][]byte),
 		doneCh:  make(chan struct{}),
 
@@ -151,7 +139,7 @@ func (c *Coordinator) Witness() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.done {
-		return nil, fmt.Errorf("dist: run still at level %d (%s)", c.level, c.phaseLocked())
+		return nil, fmt.Errorf("dist: run still at level %d", c.level)
 	}
 	return c.witness, nil
 }
@@ -161,19 +149,11 @@ func (c *Coordinator) lease() time.Duration {
 	return time.Duration(c.spec.LeaseMS) * time.Millisecond
 }
 
-// phaseLocked derives the current phase from the barrier marks, so a
-// reassignment that clears a slice's expand mark regresses the phase
-// automatically and the redo is awaited like the original work.
-func (c *Coordinator) phaseLocked() string {
-	if c.done {
-		return phaseDone
-	}
-	for i := range c.slices {
-		if !c.slices[i].expanded {
-			return phaseExpand
-		}
-	}
-	return phaseIngest
+// markedLocked reports whether slice s has posted its mark for the
+// current level.
+func (c *Coordinator) markedLocked(s int) bool {
+	sl := &c.slices[s]
+	return sl.hasCkpt && sl.ckptLevel == c.level
 }
 
 // heartbeatLocked renews w's lease and expires everyone else's.
@@ -188,24 +168,11 @@ func (c *Coordinator) heartbeatLocked(w string, now time.Time) {
 		c.scope.Event("dist_lease_expired")
 		for s := range c.slices {
 			if c.slices[s].owner == id {
-				c.revokeLocked(s)
+				c.slices[s].owner = ""
 			}
 		}
 	}
 	c.scope.Gauge("dist_workers_live").Set(int64(len(c.workers)))
-}
-
-// revokeLocked returns a slice to the pool and clears its current-level
-// barrier marks so the next owner redoes the level's work. Chunks the dead
-// owner posted are kept: reposts overwrite them with identical bytes.
-func (c *Coordinator) revokeLocked(s int) {
-	sl := &c.slices[s]
-	sl.owner = ""
-	sl.expanded = false
-	sl.ingested = false
-	sl.steps = 0
-	sl.fresh = 0
-	sl.digest = explore.Fingerprint{}
 }
 
 // grantLocked hands at most one unowned slice to w. One per poll keeps the
@@ -236,23 +203,20 @@ func (c *Coordinator) grantLocked(w string, now time.Time) {
 // it bumps on every grant, so a worker that was silently revoked and later
 // regranted the same slice (its local state possibly stale by then) sees
 // the epoch change and rebuilds from the checkpoint instead of trusting
-// memory. Expanded/Ingested are the coordinator's authoritative barrier
-// marks — cleared on revocation, so the worker knows exactly what the
-// current level still needs from it.
+// memory; its marks must carry the epoch they were computed under.
+// Expanded is the coordinator's barrier mark for the current level.
 type pollSlice struct {
 	Slice     int  `json:"slice"`
 	Epoch     int  `json:"epoch"`
 	CkptLevel int  `json:"ckpt_level"`
 	HasCkpt   bool `json:"has_ckpt"`
 	Expanded  bool `json:"expanded"`
-	Ingested  bool `json:"ingested"`
 }
 
 // pollResponse is the authoritative answer to a worker poll: the barrier
 // position and the full set of slices the worker currently leases.
 type pollResponse struct {
 	Level  int         `json:"level"`
-	Phase  string      `json:"phase"`
 	Done   bool        `json:"done"`
 	Slices []pollSlice `json:"slices"`
 }
@@ -266,7 +230,7 @@ func (c *Coordinator) poll(w string) pollResponse {
 	if !c.done {
 		c.grantLocked(w, now)
 	}
-	resp := pollResponse{Level: c.level, Phase: c.phaseLocked(), Done: c.done}
+	resp := pollResponse{Level: c.level, Done: c.done}
 	for s := range c.slices {
 		if sl := &c.slices[s]; sl.owner == w {
 			resp.Slices = append(resp.Slices, pollSlice{
@@ -274,8 +238,7 @@ func (c *Coordinator) poll(w string) pollResponse {
 				Epoch:     sl.epoch,
 				CkptLevel: sl.ckptLevel,
 				HasCkpt:   sl.hasCkpt,
-				Expanded:  sl.expanded,
-				Ingested:  sl.ingested,
+				Expanded:  c.markedLocked(s),
 			})
 		}
 	}
@@ -293,27 +256,13 @@ func (c *Coordinator) heartbeat(w string) {
 }
 
 // errNotOwner is mapped to HTTP 409 by the handler: the poster's lease on
-// the slice is gone (a zombie past its stall, or a worker racing a
-// revocation). The worker drops the slice; the rightful owner's posts are
-// the ones that count.
+// the slice is gone (a zombie past its stall, a worker racing a
+// revocation, or a mark computed under an epoch a revoke+regrant has since
+// replaced). The worker drops the slice and rebuilds from the checkpoint on
+// its next poll; the rightful owner's posts are the ones that count.
 type errNotOwner struct{ slice int }
 
 func (e errNotOwner) Error() string { return fmt.Sprintf("dist: not the owner of slice %d", e.slice) }
-
-// errStale is also mapped to HTTP 409: the post comes from the slice's
-// current owner but describes work from before a revoke+regrant cleared the
-// slice's marks, so the poster's local state may predate its own regrant.
-// Retrying verbatim cannot help, but the worker is healthy — it must drop
-// the slice and rebuild from the checkpoint on its next poll, exactly the
-// ErrLeaseLost path, never exit.
-type errStale struct {
-	slice int
-	what  string
-}
-
-func (e errStale) Error() string {
-	return fmt.Sprintf("dist: stale %s for slice %d, rebuild from checkpoint", e.what, e.slice)
-}
 
 // checkOwnerLocked validates w's lease on slice s.
 func (c *Coordinator) checkOwnerLocked(w string, s int) error {
@@ -324,55 +273,6 @@ func (c *Coordinator) checkOwnerLocked(w string, s int) error {
 		return errNotOwner{slice: s}
 	}
 	return nil
-}
-
-// putCheckpoint stores a slice's level checkpoint.
-func (c *Coordinator) putCheckpoint(w string, s, level int, body []byte) error {
-	// Validate before locking: a torn upload must never become the
-	// recovery point.
-	ck, err := DecodeSliceCheckpoint(body)
-	if err != nil {
-		return err
-	}
-	if ck.Slice != s || ck.Level != level {
-		return fmt.Errorf("dist: checkpoint body is slice %d level %d, request says %d/%d", ck.Slice, ck.Level, s, level)
-	}
-	if ck.FPVersion != c.spec.FPVersion {
-		return fmt.Errorf("dist: checkpoint fingerprints are v%d, run uses v%d", ck.FPVersion, c.spec.FPVersion)
-	}
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.heartbeatLocked(w, now)
-	if err := c.checkOwnerLocked(w, s); err != nil {
-		return err
-	}
-	if !c.applyCheckpointLocked(s, level, body) {
-		return nil
-	}
-	c.journal.append(journalRec{Tag: jrecCkpt, Slice: s, Level: level, Body: body})
-	return nil
-}
-
-// applyCheckpointLocked stores a slice checkpoint if it advances the
-// slice's recovery point, reporting whether it did. The stored checkpoint
-// stays monotonic in level: the client retries on its request timeout
-// while the original upload may still be applied afterwards, so a delayed
-// duplicate can arrive after a newer level's checkpoint landed — storing
-// it would regress the recovery point, and a reassignment while it is
-// >= 2 levels behind the run would then be fatally unadoptable. Same-level
-// posts carry identical bytes (the encoding is deterministic), so dropping
-// them loses nothing either.
-func (c *Coordinator) applyCheckpointLocked(s, level int, body []byte) bool {
-	sl := &c.slices[s]
-	if sl.hasCkpt && level <= sl.ckptLevel {
-		return false
-	}
-	sl.ckpt = body
-	sl.ckptLevel = level
-	sl.hasCkpt = true
-	c.scope.Counter("dist_ckpt_bytes").Add(int64(len(body)))
-	return true
 }
 
 // getCheckpoint serves a slice's newest checkpoint to its (new) owner.
@@ -402,6 +302,10 @@ func (c *Coordinator) putChunk(w string, body []byte) error {
 	if h.Kind != chunkKind || len(entries) != h.Count {
 		c.scope.Counter("dist_chunks_rejected").Add(1)
 		return fmt.Errorf("dist: chunk kind %q count %d does not match %d entries", h.Kind, h.Count, len(entries))
+	}
+	if h.To < 0 || h.To >= len(c.slices) {
+		c.scope.Counter("dist_chunks_rejected").Add(1)
+		return fmt.Errorf("dist: chunk addressed to slice %d of %d", h.To, len(c.slices))
 	}
 	now := time.Now()
 	c.mu.Lock()
@@ -489,9 +393,24 @@ func (c *Coordinator) getChunk(level, from, to int) ([]byte, error) {
 	return body, nil
 }
 
-// expanded records a slice's expand-done for the level, with the steps its
-// expansion examined.
-func (c *Coordinator) expanded(w string, s, level int, steps int64) error {
+// mark records slice s's barrier mark for the level: body is its encoded
+// SliceCheckpoint for the finished level, computed under the slice epoch
+// the worker's poll reported. The checkpoint is validated before it can
+// become the slice's recovery point; when the last slice marks, the level
+// closes.
+func (c *Coordinator) mark(w string, s, level, epoch int, body []byte) error {
+	// Validate before locking: a torn upload must never become the
+	// recovery point.
+	ck, err := DecodeSliceCheckpoint(body)
+	if err != nil {
+		return err
+	}
+	if ck.Slice != s || ck.Level != level {
+		return fmt.Errorf("dist: checkpoint body is slice %d level %d, request says %d/%d", ck.Slice, ck.Level, s, level)
+	}
+	if ck.FPVersion != c.spec.FPVersion {
+		return fmt.Errorf("dist: checkpoint fingerprints are v%d, run uses v%d", ck.FPVersion, c.spec.FPVersion)
+	}
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -499,124 +418,76 @@ func (c *Coordinator) expanded(w string, s, level int, steps int64) error {
 	if err := c.checkOwnerLocked(w, s); err != nil {
 		return err
 	}
-	if level < c.level {
-		// Delayed duplicate for a closed level; already counted. Idempotent.
+	if c.slices[s].epoch != epoch {
+		// Same owner, but a revoke+regrant happened since the poll this
+		// mark was computed under: the worker's state may predate its own
+		// regrant, so send it back to the checkpoint.
+		return errNotOwner{slice: s}
+	}
+	if level > c.level {
+		return fmt.Errorf("dist: mark for level %d, run is at %d", level, c.level)
+	}
+	// A delayed duplicate — the client retries on its request timeout
+	// while the original may still land — must neither regress the
+	// recovery point nor count twice. Same-level posts carry identical
+	// stats (a redo is deterministic), so dropping them loses nothing.
+	if level < c.level || c.markedLocked(s) {
 		return nil
 	}
-	if level != c.level {
-		return fmt.Errorf("dist: expand-done for level %d, run is at %d", level, c.level)
-	}
-	if sl := &c.slices[s]; sl.expanded && sl.steps == steps {
-		return nil // duplicate — already applied and journaled
-	}
-	c.journal.append(journalRec{Tag: jrecExpanded, Slice: s, Level: level, Steps: steps})
-	c.applyExpandedLocked(s, steps)
+	// Journal before applying: if this mark closes the level, the apply
+	// snapshots and rotates the WAL, and the fallback-chain invariant
+	// needs the closing record to be the old WAL's last entry.
+	rec := journalRec{Tag: jrecMark, Slice: s, Level: level, Steps: ck.Steps, Fresh: ck.Fresh, Digest: ck.Digest, Body: body}
+	c.journal.append(rec)
+	c.applyMarkLocked(rec)
 	return nil
 }
 
-// applyExpandedLocked marks a slice's expand-done for the current level.
-func (c *Coordinator) applyExpandedLocked(s int, steps int64) {
-	sl := &c.slices[s]
-	sl.expanded = true
-	sl.steps = steps
-}
-
-// ingested records a slice's ingest-done for the level: how many fresh
-// configurations it accepted at depth level+1 and their XOR digest. When
-// the last slice posts, the level advances.
-func (c *Coordinator) ingested(w string, s, level int, fresh int64, digest explore.Fingerprint) error {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.heartbeatLocked(w, now)
-	if err := c.checkOwnerLocked(w, s); err != nil {
-		return err
-	}
-	if level < c.level {
-		// A delayed duplicate for a level that already closed; its original
-		// was applied, or the slice was redone by a successor. Idempotent.
-		return nil
-	}
-	if level != c.level {
-		return fmt.Errorf("dist: ingest-done for level %d, run is at %d", level, c.level)
-	}
-	sl := &c.slices[s]
-	if c.phaseLocked() != phaseIngest {
-		// The heartbeat above may have just lazily expired a dead worker,
-		// revoking its slices and clearing their expand marks — regressing
-		// the phase from ingest back to expand while this post was in
-		// flight. The post is still exactly right: the phase only reaches
-		// ingest after every slice shipped its chunks, revocation retains
-		// them, and a redone expansion reposts identical bytes, so the
-		// result computed from that chunk set is the level's deterministic
-		// answer. Accept it as long as the poster's own expand mark
-		// survived; if the poster's own slice was revoked and regranted,
-		// its cached result predates the regrant — 409 sends the worker
-		// back to rebuild from the checkpoint instead of killing it.
-		if !sl.expanded {
-			return errStale{slice: s, what: "ingest-done"}
-		}
-	}
-	if sl.ingested && sl.fresh == fresh && sl.digest == digest {
-		return nil // duplicate — already applied and journaled
-	}
-	// Journal before applying: if this is the post that closes the level,
-	// the apply snapshots and rotates the WAL, and the fallback-chain
-	// invariant needs the closing record to be the old WAL's last entry.
-	c.journal.append(journalRec{Tag: jrecIngested, Slice: s, Level: level, Fresh: fresh, Digest: digest})
-	c.applyIngestedLocked(s, fresh, digest)
-	return nil
-}
-
-// applyIngestedLocked marks a slice's ingest-done and closes the level if
-// it was the last one outstanding.
-func (c *Coordinator) applyIngestedLocked(s int, fresh int64, digest explore.Fingerprint) {
-	sl := &c.slices[s]
-	sl.ingested = true
-	sl.fresh = fresh
-	sl.digest = digest
+// applyMarkLocked stores a slice's mark as its recovery point and closes
+// the level if it was the last one outstanding.
+func (c *Coordinator) applyMarkLocked(rec journalRec) {
+	sl := &c.slices[rec.Slice]
+	sl.ckpt = rec.Body
+	sl.ckptLevel = rec.Level
+	sl.hasCkpt = true
+	sl.steps = rec.Steps
+	sl.fresh = rec.Fresh
+	sl.digest = rec.Digest
+	c.scope.Counter("dist_ckpt_bytes").Add(int64(len(rec.Body)))
 	c.maybeAdvanceLocked()
 }
 
-// maybeAdvanceLocked closes the level once every slice has expanded and
-// ingested: aggregate the stats, prune chunks older than the retention
-// window (the previous level — a reassigned slice's checkpoint is never
-// older than that), and either start the next level or finish the run.
+// maybeAdvanceLocked closes the level once every slice has marked it:
+// aggregate the stats, prune chunks older than the retention window (the
+// level just closed — the next level ingests it, and a reassigned slice's
+// checkpoint is never older than that), and either start the next level
+// or finish the run.
 func (c *Coordinator) maybeAdvanceLocked() {
-	if c.done || c.phaseLocked() != phaseIngest {
+	if c.done {
 		return
 	}
 	var fresh, steps int64
 	var digest explore.Fingerprint
 	for i := range c.slices {
-		sl := &c.slices[i]
-		if !sl.ingested {
+		if !c.markedLocked(i) {
 			return
 		}
+		sl := &c.slices[i]
 		fresh += sl.fresh
 		steps += sl.steps
 		digest[0] ^= sl.digest[0]
 		digest[1] ^= sl.digest[1]
 	}
 	c.steps += steps
-	// A level that ingested nothing fresh is the run ending, not a level:
-	// the sequential reference records no empty depth, and the witnesses
-	// must match byte for byte.
+	// A level with nothing fresh is the run ending, not a level: the
+	// sequential reference records no empty depth, and the witnesses must
+	// match byte for byte. Level 0 always holds the root.
 	if fresh > 0 {
 		c.levels = append(c.levels, LevelStat{Fresh: fresh, Digest: digest})
 	}
-	for i := range c.slices {
-		sl := &c.slices[i]
-		sl.expanded = false
-		sl.ingested = false
-		sl.steps = 0
-		sl.fresh = 0
-		sl.digest = explore.Fingerprint{}
-	}
-	next := c.level + 1
-	c.pruneChunksLocked(next - 1)
+	c.pruneChunksLocked(c.level)
 	c.scope.Event("dist_level_done")
-	if fresh == 0 || (c.spec.MaxDepth > 0 && next >= c.spec.MaxDepth) {
+	if fresh == 0 || (c.spec.MaxDepth > 0 && c.level >= c.spec.MaxDepth) {
 		c.done = true
 		c.witness = RenderWitness(c.spec, c.levels, c.steps)
 		// No reassignment can need a chunk now: workers see Done on their
@@ -628,16 +499,16 @@ func (c *Coordinator) maybeAdvanceLocked() {
 		c.snapshotLocked()
 		return
 	}
-	c.level = next
+	c.level++
 	c.levelStart = time.Now()
-	c.scope.Gauge("dist_level").Set(int64(next))
+	c.scope.Gauge("dist_level").Set(int64(c.level))
 	c.snapshotLocked()
 }
 
 // pruneChunksLocked drops retained exchange chunks for levels below floor.
 // The retention window {level-1, level} (floor = level-1) is exactly what
-// a reassignment can still need: an adopted checkpoint is never older than
-// the previous level, and its catch-up ingests that level's chunk set.
+// the current level needs: every slice's run of it, first try or redo
+// after a reassignment, ingests the level-1 chunk set.
 // Without the prune, chunk memory — and the journal snapshots carrying
 // it — would grow with the full explored space instead of the frontier.
 func (c *Coordinator) pruneChunksLocked(floor int) {
@@ -654,14 +525,12 @@ func (c *Coordinator) pruneChunksLocked(floor int) {
 }
 
 // ShardHealth reports per-slice liveness for /progress: the owning worker,
-// the slice's checkpoint level, its lease age, and how many times the
-// slice has been reassigned. One endpoint diagnoses a stalled distributed
-// run.
+// the run's level, the lease age, and how many times the slice has been
+// reassigned. One endpoint diagnoses a stalled distributed run.
 func (c *Coordinator) ShardHealth() []obs.ShardHealth {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	phase := c.phaseLocked()
 	out := make([]obs.ShardHealth, len(c.slices))
 	for s := range c.slices {
 		sl := &c.slices[s]
@@ -669,7 +538,6 @@ func (c *Coordinator) ShardHealth() []obs.ShardHealth {
 			Slice:     s,
 			Worker:    sl.owner,
 			Level:     c.level,
-			Phase:     phase,
 			Reassigns: sl.reassigns,
 		}
 		if sl.owner != "" {

@@ -4,33 +4,28 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
-
-	"repro/internal/explore"
 )
 
 // Crash recovery (S25). The coordinator's durable state is everything a
-// restart needs to resume the barrier at the exact level and phase:
-// closed-level stats, per-slice checkpoints and expand marks, retained
+// restart needs to resume the barrier at the exact level: closed-level
+// stats, per-slice checkpoints (which are the barrier marks), retained
 // exchange chunks, and the step total. Leases are deliberately NOT
 // persisted — a restart is a mass revocation: every slice comes back
-// unowned, workers re-acquire under a bumped generation's epochs, and PR
-// 9's fencing rejects anything a pre-crash zombie still posts. Ingest
-// marks are cleared too, even when journaled: a new owner granted a slice
-// that "already ingested" would have no frontier to promote when the level
-// closes, while redoing the ingest from the retained chunk set is
-// deterministic and cheap. Expand marks survive because their invariant is
-// adoptable: a slice only marks expanded after posting a checkpoint at the
-// current level and every outgoing chunk, so any new owner can pick it up
-// in the ingest phase directly.
+// unowned, workers re-acquire under a bumped generation's epochs, and the
+// epoch fence rejects anything a pre-crash zombie still posts. Every mark
+// survives, because every mark is adoptable: a slice marks a level only
+// after posting all of that level's chunks, and the mark is its checkpoint
+// for the level, so a new owner of a marked slice has nothing to redo and
+// a new owner of an unmarked one loads the previous level's checkpoint and
+// runs the current level from the retained chunks.
 
 // Status is the coordinator's externally visible barrier position, served
 // at GET /dist/status for supervisors and the chaos harness.
 type Status struct {
-	Level      int    `json:"level"`
-	Phase      string `json:"phase"`
-	Done       bool   `json:"done"`
-	Recovering bool   `json:"recovering"`
-	Gen        int    `json:"gen"`
+	Level      int  `json:"level"`
+	Done       bool `json:"done"`
+	Recovering bool `json:"recovering"`
+	Gen        int  `json:"gen"`
 }
 
 // Status reports the barrier position.
@@ -39,7 +34,6 @@ func (c *Coordinator) Status() Status {
 	defer c.mu.Unlock()
 	return Status{
 		Level:      c.level,
-		Phase:      c.phaseLocked(),
 		Done:       c.done,
 		Recovering: c.recovering,
 		Gen:        c.gen,
@@ -122,8 +116,6 @@ func (c *Coordinator) Recover() error {
 		sl.ckptLevel = ss.ckptLevel
 		sl.hasCkpt = ss.hasCkpt
 		sl.everOwned = ss.everOwned
-		sl.expanded = ss.expanded
-		sl.ingested = ss.ingested
 		sl.steps = ss.steps
 		sl.fresh = ss.fresh
 		sl.digest = ss.digest
@@ -151,16 +143,9 @@ func (c *Coordinator) Recover() error {
 		c.scope.Gauge("dist_done").Set(1)
 	}
 
-	// Lease amnesia: every slice unowned, every worker forgotten, ingest
-	// marks redone by the next owners (see the package comment above).
+	// Lease amnesia: every slice unowned (set above), every worker
+	// forgotten.
 	c.workers = make(map[string]time.Time)
-	for s := range c.slices {
-		sl := &c.slices[s]
-		sl.owner = ""
-		sl.ingested = false
-		sl.fresh = 0
-		sl.digest = explore.Fingerprint{}
-	}
 
 	// New generation: rebase every epoch above anything the dead
 	// incarnation ever granted, and make the bump durable both in the
@@ -213,21 +198,13 @@ const epochGenShift = 20
 // re-post.
 func (c *Coordinator) replayLocked(rec journalRec) {
 	switch rec.Tag {
-	case jrecCkpt:
-		if rec.Slice < len(c.slices) {
-			c.applyCheckpointLocked(rec.Slice, rec.Level, rec.Body)
-		}
 	case jrecChunk:
 		if rec.Level == c.level && !c.done {
 			c.applyChunkLocked(chunkKey{level: rec.Level, from: rec.From, to: rec.To}, rec.Body, time.Time{})
 		}
-	case jrecExpanded:
-		if rec.Slice < len(c.slices) && rec.Level == c.level && !c.done {
-			c.applyExpandedLocked(rec.Slice, rec.Steps)
-		}
-	case jrecIngested:
-		if rec.Slice < len(c.slices) && rec.Level == c.level && !c.done {
-			c.applyIngestedLocked(rec.Slice, rec.Fresh, rec.Digest)
+	case jrecMark:
+		if rec.Slice < len(c.slices) && rec.Level == c.level && !c.done && !c.markedLocked(rec.Slice) {
+			c.applyMarkLocked(rec)
 		}
 	case jrecGen:
 		if rec.Gen > c.gen {
@@ -278,12 +255,6 @@ func (c *Coordinator) snapshotRecordsLocked(seq uint64) [][]byte {
 		var flags byte
 		if sl.hasCkpt {
 			flags |= sflagHasCkpt
-		}
-		if sl.expanded {
-			flags |= sflagExpanded
-		}
-		if sl.ingested {
-			flags |= sflagIngested
 		}
 		if sl.everOwned {
 			flags |= sflagEverOwned

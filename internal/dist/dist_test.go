@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -124,15 +125,31 @@ func (tr *testRun) sequential(t *testing.T) []byte {
 	return want
 }
 
-// TestDistributedMatchesSequential: three workers over three slices
-// produce a witness byte-identical to the single-process explore.Reach
-// reference.
+// TestDistributedMatchesSequential: three workers produce a witness
+// byte-identical to the single-process explore.Reach reference, across
+// the barrier's termination edges — a depth cap, an unbounded run that
+// ends on a level with nothing fresh, a cap of one level, and more slices
+// than the early levels have configurations.
 func TestDistributedMatchesSequential(t *testing.T) {
-	tr := newTestRun(t, 3, 3, 6, 5000)
-	got := tr.runWorkers(t,
-		tr.worker("w0", 1, nil), tr.worker("w1", 2, nil), tr.worker("w2", 3, nil))
-	if want := tr.sequential(t); !bytes.Equal(got, want) {
-		t.Fatalf("distributed witness differs from sequential:\n--- distributed\n%s--- sequential\n%s", got, want)
+	for _, tc := range []struct {
+		name                string
+		n, slices, maxDepth int
+	}{
+		{"n3-depth6", 3, 3, 6},
+		{"n2-unbounded", 2, 3, 0},
+		{"n3-depth1", 3, 3, 1},
+		{"n3-5slices-depth2", 3, 5, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A short lease keeps the idle poll (a fifth of it) short, so
+			// the 48 levels of the unbounded n=2 run take seconds.
+			tr := newTestRun(t, tc.n, tc.slices, tc.maxDepth, 400)
+			got := tr.runWorkers(t,
+				tr.worker("w0", 1, nil), tr.worker("w1", 2, nil), tr.worker("w2", 3, nil))
+			if want := tr.sequential(t); !bytes.Equal(got, want) {
+				t.Fatalf("distributed witness differs from sequential:\n--- distributed\n%s--- sequential\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -200,92 +217,157 @@ func TestCorruptChunkRetry(t *testing.T) {
 	}
 }
 
-// TestIngestDoneSurvivesPhaseRegression: a healthy worker's ingest-done
-// whose own embedded heartbeat lazily expires a dead peer — revoking the
-// peer's slice, clearing its expand mark, and regressing the phase from
-// ingest back to expand — must be accepted, not rejected as a terminal
-// 400. The poster's result was computed from the level's complete retained
-// chunk set and a redo reproduces it byte for byte; killing the survivor
-// here would cascade the exact failure the leases exist to survive.
+// markBody encodes slice s's checkpoint for the level as a mark body.
+func markBody(t *testing.T, s, level int, steps, fresh int64) []byte {
+	t.Helper()
+	ck := SliceCheckpoint{Slice: s, Level: level, FPVersion: explore.FingerprintVersion,
+		Visited: []explore.Fingerprint{{uint64(s), uint64(level)}}, Steps: steps, Fresh: fresh}
+	body, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestIngestDoneSurvivesPhaseRegression: a healthy worker's mark whose own
+// embedded heartbeat lazily expires a dead peer — revoking the peer's
+// slice — must be accepted, and the peer's already-posted mark must
+// survive the revocation: it carries the peer's checkpoint for the level,
+// posted after all its chunks, so nothing about the level needs redoing
+// and the level closes on the healthy mark.
 func TestIngestDoneSurvivesPhaseRegression(t *testing.T) {
 	tr := newTestRun(t, 3, 2, 3, 60)
 	c := tr.coord
-	c.poll("live") // grants slice 0
-	c.poll("dead") // grants slice 1
-	if err := c.expanded("live", 0, 0, 1); err != nil {
+	live := c.poll("live") // grants slice 0
+	dead := c.poll("dead") // grants slice 1
+	if err := c.mark("dead", 1, 0, dead.Slices[0].Epoch, markBody(t, 1, 0, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.expanded("dead", 1, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Let dead's lease lapse, then post live's ingest-done: the heartbeat
-	// inside ingested() expires dead and regresses the phase to expand
-	// before the phase check runs.
+	// Let dead's lease lapse, then post live's mark: the heartbeat inside
+	// mark() expires dead and revokes its slice before the mark applies.
 	time.Sleep(100 * time.Millisecond)
-	if err := c.ingested("live", 0, 0, 2, explore.Fingerprint{1, 2}); err != nil {
-		t.Fatalf("healthy worker's ingest-done rejected after phase regression: %v", err)
+	if err := c.mark("live", 0, 0, live.Slices[0].Epoch, markBody(t, 0, 0, 2, 1)); err != nil {
+		t.Fatalf("healthy worker's mark rejected after a peer's revocation: %v", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.slices[1].owner != "" || c.slices[1].expanded {
-		t.Fatal("dead worker's slice was not revoked — the regression never happened")
+	if c.slices[1].owner != "" {
+		t.Fatal("dead worker's slice was not revoked — the revocation never happened")
 	}
-	if !c.slices[0].ingested {
-		t.Fatal("accepted ingest-done did not mark the slice")
+	if sl := c.slices[1]; !sl.hasCkpt || sl.ckptLevel != 0 {
+		t.Fatalf("revocation dropped the dead worker's mark: has %v level %d", sl.hasCkpt, sl.ckptLevel)
+	}
+	if c.level != 1 || len(c.levels) != 1 || c.steps != 3 {
+		t.Fatalf("level did not close on the healthy mark: level %d, %d levels, %d steps", c.level, len(c.levels), c.steps)
 	}
 }
 
-// TestStaleIngestDoneAfterRegrant: an ingest-done whose slice was revoked
-// and regranted (epoch bumped, marks cleared) since the result was
-// computed gets 409 — the client maps it to ErrLeaseLost, so the worker
-// drops the slice and rebuilds from the checkpoint instead of exiting.
+// TestStaleIngestDoneAfterRegrant: a mark computed before its slice was
+// revoked and regranted to the same worker (epoch bumped) gets 409 — the
+// client maps it to ErrLeaseLost, so the worker drops the slice and
+// rebuilds from the checkpoint instead of exiting. The same mark under the
+// new epoch is accepted.
 func TestStaleIngestDoneAfterRegrant(t *testing.T) {
 	tr := newTestRun(t, 3, 1, 3, 5000)
 	ctx := context.Background()
 	cl := newClient(tr.srv.URL, "w", 1)
-	if _, err := cl.poll(ctx); err != nil {
+	before, err := cl.poll(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	tr.coord.mu.Lock()
-	tr.coord.revokeLocked(0)
+	tr.coord.slices[0].owner = ""
 	tr.coord.mu.Unlock()
-	// Regrant to the same worker: same owner, new epoch, cleared marks.
-	if _, err := cl.poll(ctx); err != nil {
+	// Regrant to the same worker: same owner, new epoch.
+	after, err := cl.poll(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	err := cl.postIngested(ctx, 0, 0, 1, explore.Fingerprint{})
+	body := markBody(t, 0, 0, 1, 1)
+	err = cl.postMark(ctx, 0, 0, before.Slices[0].Epoch, body)
 	if !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("stale ingest-done after regrant returned %v, want ErrLeaseLost", err)
+		t.Fatalf("stale mark after regrant returned %v, want ErrLeaseLost", err)
+	}
+	if err := cl.postMark(ctx, 0, 0, after.Slices[0].Epoch, body); err != nil {
+		t.Fatalf("mark under the current epoch rejected: %v", err)
 	}
 }
 
-// TestCheckpointLevelMonotonic: a delayed duplicate checkpoint upload for
-// an older level must not regress the stored recovery point — the newest
-// checkpoint wins, and the stale post is acknowledged as a no-op.
+// TestCheckpointLevelMonotonic: a delayed duplicate mark for an older
+// level must not regress the stored recovery point — the newest checkpoint
+// wins, and the stale post is acknowledged as a no-op.
 func TestCheckpointLevelMonotonic(t *testing.T) {
 	tr := newTestRun(t, 3, 1, 3, 5000)
 	c := tr.coord
-	c.poll("w")
-	enc := func(level int) []byte {
-		ck := SliceCheckpoint{Slice: 0, Level: level, FPVersion: explore.FingerprintVersion}
-		body, err := ck.Encode()
-		if err != nil {
+	epoch := c.poll("w").Slices[0].Epoch
+	for level := 0; level <= 1; level++ {
+		if err := c.mark("w", 0, level, epoch, markBody(t, 0, level, 1, 1)); err != nil {
 			t.Fatal(err)
 		}
-		return body
 	}
-	if err := c.putCheckpoint("w", 0, 1, enc(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.putCheckpoint("w", 0, 0, enc(0)); err != nil {
-		t.Fatalf("delayed duplicate checkpoint rejected instead of ignored: %v", err)
+	if err := c.mark("w", 0, 0, epoch, markBody(t, 0, 0, 1, 1)); err != nil {
+		t.Fatalf("delayed duplicate mark rejected instead of ignored: %v", err)
 	}
 	body, level, err := c.getCheckpoint(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if level != 1 || !bytes.Equal(body, enc(1)) {
+	if level != 1 || !bytes.Equal(body, markBody(t, 0, 1, 1, 1)) {
 		t.Fatalf("stored checkpoint regressed to level %d", level)
+	}
+	if st := c.Status(); st.Level != 2 || c.steps != 2 {
+		t.Fatalf("duplicate mark counted again: %+v, %d steps", st, c.steps)
+	}
+}
+
+// TestMarkRejectsNegativeCounts: a mark whose checkpoint declares negative
+// steps or fresh counts is a bad request, never stored or counted.
+func TestMarkRejectsNegativeCounts(t *testing.T) {
+	tr := newTestRun(t, 3, 1, 3, 5000)
+	ctx := context.Background()
+	cl := newClient(tr.srv.URL, "w", 1)
+	resp, err := cl.poll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, counts := range [][2]int64{{-1000, 1}, {1, -1}} {
+		err := cl.postMark(ctx, 0, 0, resp.Slices[0].Epoch, markBody(t, 0, 0, counts[0], counts[1]))
+		var term errTerminal
+		if !errors.As(err, &term) || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("mark with steps %d fresh %d: %v, want 400", counts[0], counts[1], err)
+		}
+	}
+	if _, _, err := tr.coord.getCheckpoint(0); err == nil {
+		t.Fatal("a rejected mark became the recovery point")
+	}
+}
+
+// TestChunkToOutOfRangeRejected: a chunk addressed to a slice the run does
+// not have is a bad request, never stored or journaled — no slice would
+// ever ingest it.
+func TestChunkToOutOfRangeRejected(t *testing.T) {
+	tr := newTestRun(t, 3, 3, 3, 5000)
+	ctx := context.Background()
+	cl := newClient(tr.srv.URL, "w", 1)
+	if _, err := cl.poll(ctx); err != nil { // grants slice 0
+		t.Fatal(err)
+	}
+	entries := []Entry{{FP: explore.Fingerprint{1, 2}, Path: []uint32{0}}}
+	for _, to := range []int{-1, 3, 1 << 20} {
+		body, err := EncodeFrontierChunk(0, 0, to, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = cl.putChunk(ctx, body)
+		var term errTerminal
+		if !errors.As(err, &term) || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("chunk to slice %d: %v, want 400", to, err)
+		}
+	}
+	tr.coord.mu.Lock()
+	defer tr.coord.mu.Unlock()
+	if len(tr.coord.chunks) != 0 {
+		t.Fatalf("out-of-range chunks stored: %v", tr.coord.chunks)
 	}
 }
 
@@ -295,7 +377,8 @@ func TestPostFromNonOwnerRejected(t *testing.T) {
 	tr := newTestRun(t, 3, 1, 3, 50)
 	ctx := context.Background()
 	zombie := newClient(tr.srv.URL, "zombie", 1)
-	if _, err := zombie.poll(ctx); err != nil {
+	resp, err := zombie.poll(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Let the lease lapse, then have another worker steal the slice.
@@ -304,7 +387,7 @@ func TestPostFromNonOwnerRejected(t *testing.T) {
 	if _, err := thief.poll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	err := zombie.postExpanded(ctx, 0, 0, 1)
+	err = zombie.postMark(ctx, 0, 0, resp.Slices[0].Epoch, markBody(t, 0, 0, 1, 1))
 	if err == nil {
 		t.Fatal("zombie post accepted")
 	}

@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"repro/internal/checkpoint"
-	"repro/internal/explore"
 )
 
 // maxChunkBody bounds a single uploaded chunk or checkpoint. Frontier
@@ -26,13 +25,11 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /dist/spec", c.handleSpec)
 	mux.HandleFunc("POST /dist/poll", c.gated(c.handlePoll))
 	mux.HandleFunc("POST /dist/heartbeat", c.gated(c.handleHeartbeat))
-	mux.HandleFunc("POST /dist/checkpoint", c.gated(c.handlePutCheckpoint))
 	mux.HandleFunc("GET /dist/checkpoint", c.gated(c.handleGetCheckpoint))
 	mux.HandleFunc("POST /dist/chunk", c.handlePutChunk)
 	mux.HandleFunc("GET /dist/chunkset", c.gated(c.handleChunkSet))
 	mux.HandleFunc("GET /dist/chunk", c.gated(c.handleGetChunk))
-	mux.HandleFunc("POST /dist/expanded", c.gated(c.handleExpanded))
-	mux.HandleFunc("POST /dist/ingested", c.gated(c.handleIngested))
+	mux.HandleFunc("POST /dist/expanded", c.gated(c.handleMark))
 	mux.HandleFunc("GET /dist/witness", c.gated(c.handleWitness))
 	mux.HandleFunc("GET /dist/status", c.handleStatus)
 	mux.HandleFunc("GET /dist/healthz", c.handleHealthz)
@@ -87,15 +84,14 @@ func distWriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // distError maps coordinator errors onto status codes: lost leases and
-// stale posts are 409 (the worker must drop the slice and rebuild, not
-// retry verbatim — and never exit), corruption is 400 (the payload is bad
-// however often it is resent), everything else is also 400 — the
+// stale-epoch marks are 409 (the worker must drop the slice and rebuild,
+// not retry verbatim — and never exit), corruption is 400 (the payload is
+// bad however often it is resent), everything else is also 400 — the
 // coordinator's in-memory handling has no transient 5xx failures.
 func distError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var notOwner errNotOwner
-	var stale errStale
-	if errors.As(err, &notOwner) || errors.As(err, &stale) {
+	if errors.As(err, &notOwner) {
 		status = http.StatusConflict
 	}
 	distWriteJSON(w, status, map[string]string{"error": err.Error()})
@@ -143,34 +139,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.heartbeat(worker)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (c *Coordinator) handlePutCheckpoint(w http.ResponseWriter, r *http.Request) {
-	worker, err := workerParam(r)
-	if err != nil {
-		distError(w, err)
-		return
-	}
-	slice, err := intParam(r, "slice")
-	if err != nil {
-		distError(w, err)
-		return
-	}
-	level, err := intParam(r, "level")
-	if err != nil {
-		distError(w, err)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxChunkBody))
-	if err != nil {
-		distError(w, fmt.Errorf("dist: reading checkpoint body: %w", err))
-		return
-	}
-	if err := c.putCheckpoint(worker, slice, level, body); err != nil {
-		distError(w, err)
-		return
-	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -251,7 +219,9 @@ func (c *Coordinator) handleGetChunk(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-func (c *Coordinator) handleExpanded(w http.ResponseWriter, r *http.Request) {
+// handleMark takes a slice's barrier mark: the body is its encoded
+// SliceCheckpoint for the finished level.
+func (c *Coordinator) handleMark(w http.ResponseWriter, r *http.Request) {
 	worker, err := workerParam(r)
 	if err != nil {
 		distError(w, err)
@@ -267,54 +237,17 @@ func (c *Coordinator) handleExpanded(w http.ResponseWriter, r *http.Request) {
 		distError(w, err)
 		return
 	}
-	steps, err := intParam(r, "steps")
+	epoch, err := intParam(r, "epoch")
 	if err != nil {
 		distError(w, err)
 		return
 	}
-	if err := c.expanded(worker, slice, level, int64(steps)); err != nil {
-		distError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (c *Coordinator) handleIngested(w http.ResponseWriter, r *http.Request) {
-	worker, err := workerParam(r)
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxChunkBody))
 	if err != nil {
-		distError(w, err)
+		distError(w, fmt.Errorf("dist: reading mark body: %w", err))
 		return
 	}
-	slice, err := intParam(r, "slice")
-	if err != nil {
-		distError(w, err)
-		return
-	}
-	level, err := intParam(r, "level")
-	if err != nil {
-		distError(w, err)
-		return
-	}
-	fresh, err := intParam(r, "fresh")
-	if err != nil {
-		distError(w, err)
-		return
-	}
-	var digest explore.Fingerprint
-	for i, name := range []string{"digest0", "digest1"} {
-		s := r.URL.Query().Get(name)
-		if s == "" {
-			distError(w, fmt.Errorf("dist: missing %q parameter", name))
-			return
-		}
-		v, err := strconv.ParseUint(s, 16, 64)
-		if err != nil {
-			distError(w, fmt.Errorf("dist: bad %q parameter: %w", name, err))
-			return
-		}
-		digest[i] = v
-	}
-	if err := c.ingested(worker, slice, level, int64(fresh), digest); err != nil {
+	if err := c.mark(worker, slice, level, epoch, body); err != nil {
 		distError(w, err)
 		return
 	}

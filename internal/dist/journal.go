@@ -31,7 +31,7 @@ import (
 // durable append. The last two pairs are kept (keep-2, matching the
 // checkpoint store); if the newest snapshot is corrupt, recovery falls back
 // to the previous one and replays *both* WALs — wal-<seq-1> ends with
-// exactly the ingest record whose level close produced snapshot <seq>, so
+// exactly the mark record whose level close produced snapshot <seq>, so
 // the chain is gapless.
 //
 // Appends are not fsynced per record: SIGKILL (the chaos harness's crash)
@@ -45,17 +45,18 @@ import (
 // running; the next successful snapshot re-establishes durability with a
 // fresh WAL.
 
-// Journal record tags. 1–5 are WAL mutations, 10–13 snapshot records.
+// Journal record tags. 2, 5 and 6 are WAL mutations, 10, 11, 13 and 14
+// snapshot records. Tags 1, 3, 4 and 12 are retired and must never be
+// reused: a journal written with them fails to decode instead of being
+// misread.
 const (
-	jrecCkpt     = 1  // slice checkpoint accepted: slice, level, body
 	jrecChunk    = 2  // exchange chunk stored: level, from, to, body
-	jrecExpanded = 3  // expand barrier mark: slice, level, steps
-	jrecIngested = 4  // ingest barrier mark: slice, level, fresh, digest
 	jrecGen      = 5  // generation bump written at the start of a recovery
+	jrecMark     = 6  // barrier mark: slice, level, steps, fresh, digest, checkpoint body
 	jrecMeta     = 10 // snapshot meta (JSON)
 	jrecLevel    = 11 // one closed level's stats: fresh, digest
-	jrecSlice    = 12 // one slice's full state
 	jrecRetained = 13 // one retained exchange chunk: level, from, to, body
+	jrecSlice    = 14 // one slice's full state
 )
 
 // errJournalCorrupt tags a journal record whose checksum held but whose
@@ -83,9 +84,7 @@ type journalRec struct {
 // Slice-state flag bits of a jrecSlice record.
 const (
 	sflagHasCkpt   = 1 << 0
-	sflagExpanded  = 1 << 1
-	sflagIngested  = 1 << 2
-	sflagEverOwned = 1 << 3
+	sflagEverOwned = 1 << 1
 )
 
 func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -95,25 +94,19 @@ func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v
 func (r *journalRec) encode() []byte {
 	b := []byte{r.Tag}
 	switch r.Tag {
-	case jrecCkpt:
-		b = appendUvarint(b, uint64(r.Slice))
-		b = appendUvarint(b, uint64(r.Level))
-		b = append(b, r.Body...)
 	case jrecChunk, jrecRetained:
 		b = appendUvarint(b, uint64(r.Level))
 		b = appendUvarint(b, uint64(r.From))
 		b = appendUvarint(b, uint64(r.To))
 		b = append(b, r.Body...)
-	case jrecExpanded:
+	case jrecMark:
 		b = appendUvarint(b, uint64(r.Slice))
 		b = appendUvarint(b, uint64(r.Level))
 		b = appendUvarint(b, uint64(r.Steps))
-	case jrecIngested:
-		b = appendUvarint(b, uint64(r.Slice))
-		b = appendUvarint(b, uint64(r.Level))
 		b = appendUvarint(b, uint64(r.Fresh))
 		b = appendUvarint(b, r.Digest[0])
 		b = appendUvarint(b, r.Digest[1])
+		b = append(b, r.Body...)
 	case jrecGen:
 		b = appendUvarint(b, uint64(r.Gen))
 	case jrecMeta:
@@ -174,14 +167,6 @@ func decodeJournalRecord(payload []byte) (journalRec, error) {
 	b := payload[1:]
 	var err error
 	switch r.Tag {
-	case jrecCkpt:
-		if r.Slice, b, err = uvarintField(b, "ckpt slice"); err != nil {
-			return r, err
-		}
-		if r.Level, b, err = uvarintField(b, "ckpt level"); err != nil {
-			return r, err
-		}
-		r.Body = b
 	case jrecChunk, jrecRetained:
 		if r.Level, b, err = uvarintField(b, "chunk level"); err != nil {
 			return r, err
@@ -193,42 +178,29 @@ func decodeJournalRecord(payload []byte) (journalRec, error) {
 			return r, err
 		}
 		r.Body = b
-	case jrecExpanded:
-		if r.Slice, b, err = uvarintField(b, "expanded slice"); err != nil {
+	case jrecMark:
+		if r.Slice, b, err = uvarintField(b, "mark slice"); err != nil {
 			return r, err
 		}
-		if r.Level, b, err = uvarintField(b, "expanded level"); err != nil {
+		if r.Level, b, err = uvarintField(b, "mark level"); err != nil {
 			return r, err
 		}
-		var steps int
-		if steps, b, err = uvarintField(b, "expanded steps"); err != nil {
+		var steps, fresh int
+		if steps, b, err = uvarintField(b, "mark steps"); err != nil {
 			return r, err
 		}
 		r.Steps = int64(steps)
-		if len(b) != 0 {
-			return r, fmt.Errorf("%w: %d trailing bytes after expanded record", errJournalCorrupt, len(b))
-		}
-	case jrecIngested:
-		if r.Slice, b, err = uvarintField(b, "ingested slice"); err != nil {
-			return r, err
-		}
-		if r.Level, b, err = uvarintField(b, "ingested level"); err != nil {
-			return r, err
-		}
-		var fresh int
-		if fresh, b, err = uvarintField(b, "ingested fresh"); err != nil {
+		if fresh, b, err = uvarintField(b, "mark fresh"); err != nil {
 			return r, err
 		}
 		r.Fresh = int64(fresh)
-		if r.Digest[0], b, err = uvarint64Field(b, "ingested digest0"); err != nil {
+		if r.Digest[0], b, err = uvarint64Field(b, "mark digest0"); err != nil {
 			return r, err
 		}
-		if r.Digest[1], b, err = uvarint64Field(b, "ingested digest1"); err != nil {
+		if r.Digest[1], b, err = uvarint64Field(b, "mark digest1"); err != nil {
 			return r, err
 		}
-		if len(b) != 0 {
-			return r, fmt.Errorf("%w: %d trailing bytes after ingested record", errJournalCorrupt, len(b))
-		}
+		r.Body = b
 	case jrecGen:
 		if r.Gen, b, err = uvarintField(b, "generation"); err != nil {
 			return r, err
@@ -261,7 +233,7 @@ func decodeJournalRecord(payload []byte) (journalRec, error) {
 			return r, fmt.Errorf("%w: slice record missing flags", errJournalCorrupt)
 		}
 		r.Flags = b[0]
-		if r.Flags&^(sflagHasCkpt|sflagExpanded|sflagIngested|sflagEverOwned) != 0 {
+		if r.Flags&^(sflagHasCkpt|sflagEverOwned) != 0 {
 			return r, fmt.Errorf("%w: slice record has unknown flags %#x", errJournalCorrupt, r.Flags)
 		}
 		b = b[1:]
@@ -310,8 +282,6 @@ type journalMeta struct {
 // snapSlice is one slice's recovered state.
 type snapSlice struct {
 	hasCkpt   bool
-	expanded  bool
-	ingested  bool
 	everOwned bool
 	ckptLevel int
 	steps     int64
@@ -505,8 +475,6 @@ func (j *Journal) loadSnapshot(seq uint64) (*journalState, error) {
 			}
 			s := &st.slices[r.Slice]
 			s.hasCkpt = r.Flags&sflagHasCkpt != 0
-			s.expanded = r.Flags&sflagExpanded != 0
-			s.ingested = r.Flags&sflagIngested != 0
 			s.everOwned = r.Flags&sflagEverOwned != 0
 			s.ckptLevel = r.CkptLevel
 			s.steps = r.Steps

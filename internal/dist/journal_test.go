@@ -15,14 +15,16 @@ import (
 // tag — the corpus the decoder robustness tests mutate.
 func sampleJournalRecords() map[string][]byte {
 	return map[string][]byte{
-		"ckpt":     (&journalRec{Tag: jrecCkpt, Slice: 2, Level: 5, Body: []byte("ckpt-bytes")}).encode(),
-		"chunk":    (&journalRec{Tag: jrecChunk, Level: 3, From: 1, To: 2, Body: []byte("chunk-bytes")}).encode(),
-		"expanded": (&journalRec{Tag: jrecExpanded, Slice: 1, Level: 4, Steps: 777}).encode(),
-		"ingested": (&journalRec{Tag: jrecIngested, Slice: 0, Level: 2, Fresh: 31, Digest: explore.Fingerprint{0xdead, 0xbeef}}).encode(),
-		"gen":      (&journalRec{Tag: jrecGen, Gen: 9}).encode(),
-		"meta":     (&journalRec{Tag: jrecMeta, Body: []byte(`{"seq":1}`)}).encode(),
-		"level":    (&journalRec{Tag: jrecLevel, Fresh: 12, Digest: explore.Fingerprint{1, 2}}).encode(),
-		"slice": (&journalRec{Tag: jrecSlice, Slice: 3, Flags: sflagHasCkpt | sflagExpanded,
+		"chunk": (&journalRec{Tag: jrecChunk, Level: 3, From: 1, To: 2, Body: []byte("chunk-bytes")}).encode(),
+		"mark": (&journalRec{Tag: jrecMark, Slice: 2, Level: 5, Steps: 777, Fresh: 31,
+			Digest: explore.Fingerprint{0xdead, 0xbeef}, Body: []byte("ckpt-bytes")}).encode(),
+		"mark-level0": (&journalRec{Tag: jrecMark, Slice: 0, Level: 0, Steps: 4, Fresh: 1,
+			Digest: explore.Fingerprint{1, 1}, Body: []byte("root")}).encode(),
+		"mark-empty": (&journalRec{Tag: jrecMark, Slice: 1, Level: 4}).encode(),
+		"gen":        (&journalRec{Tag: jrecGen, Gen: 9}).encode(),
+		"meta":       (&journalRec{Tag: jrecMeta, Body: []byte(`{"seq":1}`)}).encode(),
+		"level":      (&journalRec{Tag: jrecLevel, Fresh: 12, Digest: explore.Fingerprint{1, 2}}).encode(),
+		"slice": (&journalRec{Tag: jrecSlice, Slice: 3, Flags: sflagHasCkpt | sflagEverOwned,
 			CkptLevel: 6, Steps: 100, Fresh: 7, Digest: explore.Fingerprint{3, 4}, Reassigns: 2, Body: []byte("ckpt")}).encode(),
 		"retained": (&journalRec{Tag: jrecRetained, Level: 2, From: 0, To: 1, Body: []byte("retained")}).encode(),
 	}
@@ -32,14 +34,13 @@ func sampleJournalRecords() map[string][]byte {
 // the same fields.
 func TestJournalRecordRoundTrip(t *testing.T) {
 	recs := []journalRec{
-		{Tag: jrecCkpt, Slice: 2, Level: 5, Body: []byte("ckpt-bytes")},
 		{Tag: jrecChunk, Level: 3, From: 1, To: 2, Body: []byte("chunk-bytes")},
-		{Tag: jrecExpanded, Slice: 1, Level: 4, Steps: 777},
-		{Tag: jrecIngested, Slice: 0, Level: 2, Fresh: 31, Digest: explore.Fingerprint{0xdead, 0xbeef}},
+		{Tag: jrecMark, Slice: 2, Level: 5, Steps: 777, Fresh: 31, Digest: explore.Fingerprint{0xdead, 0xbeef}, Body: []byte("ckpt-bytes")},
+		{Tag: jrecMark, Slice: 1, Level: 4},
 		{Tag: jrecGen, Gen: 9},
 		{Tag: jrecMeta, Body: []byte(`{"seq":1}`)},
 		{Tag: jrecLevel, Fresh: 12, Digest: explore.Fingerprint{1, 2}},
-		{Tag: jrecSlice, Slice: 3, Flags: sflagHasCkpt | sflagIngested, CkptLevel: 6, Steps: 100,
+		{Tag: jrecSlice, Slice: 3, Flags: sflagHasCkpt, CkptLevel: 6, Steps: 100,
 			Fresh: 7, Digest: explore.Fingerprint{3, 4}, Reassigns: 2, Body: []byte("ckpt")},
 		{Tag: jrecRetained, Level: 2, From: 0, To: 1, Body: []byte("retained")},
 	}
@@ -108,7 +109,7 @@ func FuzzDecodeJournalRecord(f *testing.F) {
 		f.Add(good)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{jrecExpanded, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{jrecMark, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeJournalRecord(data)
 		if err != nil {
@@ -308,7 +309,7 @@ func TestJournalAppendDegradesOnDiskFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := make([]byte, 256)
-	j.append(journalRec{Tag: jrecCkpt, Slice: 0, Level: 1, Body: big})
+	j.append(journalRec{Tag: jrecMark, Slice: 0, Level: 1, Body: big})
 	if !j.Degraded() {
 		t.Fatal("append past the byte budget did not degrade the journal")
 	}

@@ -3,22 +3,24 @@
 //
 // The fingerprint space is split into Spec.Slices slices by
 // explore.ShardOf; every configuration belongs to exactly one slice, and
-// the worker holding that slice's lease owns its visited set and frontier.
-// A coordinator (embedded in provesrv or `spacebound -coordinator`) grants
-// lease-based slice ownership, renews it on every worker request, runs a
-// two-phase barrier per BFS level, and aggregates per-level counts and
-// XOR-of-fingerprint digests into the run's witness. Workers expand their
-// frontier by witness-path replay, ship cross-slice children to the
-// coordinator as exchange chunks framed in the checksummed
-// checkpoint-segment format (internal/checkpoint.EncodeChunk — a torn or
-// corrupted chunk fails typed and is re-requested, never partially
-// ingested), and post per-slice checkpoints at level boundaries. When a
-// lease expires — crash, SIGKILL, or a stall injected via internal/faults
-// — the slice is regranted to a surviving worker, which rebuilds the
-// visited set and frontier from the slice's last checkpoint plus the
-// retained exchange chunks; every redo is deterministic, so the merged run
-// produces a witness byte-identical to an uninterrupted single-process
-// run's (SequentialWitness is that reference).
+// the worker holding that slice's lease owns its visited set. A
+// coordinator (embedded in provesrv or `spacebound -coordinator`) grants
+// lease-based slice ownership, renews it on every worker request, runs one
+// barrier per BFS level, and aggregates per-level counts and
+// XOR-of-fingerprint digests into the run's witness. At level L a slice
+// owner ingests the level L-1 exchange chunks addressed to it (seeding the
+// root at level 0), expands the fresh configurations by witness-path
+// replay, ships cross-slice children to the coordinator as exchange chunks
+// framed in the checksummed checkpoint-segment format
+// (internal/checkpoint.EncodeChunk — a torn or corrupted chunk fails typed
+// and is re-requested, never partially ingested), and then posts its slice
+// checkpoint for level L, which is also its barrier mark. When a lease
+// expires — crash, SIGKILL, or a stall injected via internal/faults — the
+// slice is regranted to a surviving worker, which loads the slice's newest
+// checkpoint and redoes the current level from the retained chunks; every
+// redo is deterministic, so the merged run produces a witness
+// byte-identical to an uninterrupted single-process run's
+// (SequentialWitness is that reference).
 package dist
 
 import (
@@ -137,7 +139,7 @@ func DecodeEntries(body []byte) ([]Entry, error) {
 func (e *Entry) Replay(root model.Config) model.Config {
 	c := root
 	for _, mv := range e.Path {
-		c = explore.Apply(c, model.UnpackMove(mv))
+		c = model.ApplyMove(c, model.UnpackMove(mv))
 	}
 	return c
 }
@@ -176,30 +178,42 @@ func DecodeFrontierChunk(data []byte, level, from, to int) ([]Entry, error) {
 	return entries, nil
 }
 
-// SliceCheckpoint is a slice's state at the start of a level: every
-// fingerprint the slice has visited (depths <= Level) and the frontier
-// entries at exactly Level. A reassigned slice restarts from here.
+// SliceCheckpoint is a slice's state after it finished a level, and the
+// slice's barrier mark for that level: every fingerprint the slice has
+// visited (depths <= Level), plus the level's transition count (Steps, the
+// children its expansion generated), how many configurations it accepted
+// fresh at depth Level, and their XOR digest. A reassigned slice restarts
+// from here; its next frontier is rebuilt from the level's retained
+// exchange chunks, so the checkpoint carries none.
 type SliceCheckpoint struct {
 	Slice     int
 	Level     int
 	FPVersion int
 	Visited   []explore.Fingerprint
-	Frontier  []Entry
+	Steps     int64
+	Fresh     int64
+	Digest    explore.Fingerprint
 }
 
 // sliceCkptMeta is record 0 of an encoded slice checkpoint.
 type sliceCkptMeta struct {
-	Slice     int `json:"slice"`
-	Level     int `json:"level"`
-	FPVersion int `json:"fp_version"`
-	Visited   int `json:"visited"`
+	Slice     int       `json:"slice"`
+	Level     int       `json:"level"`
+	FPVersion int       `json:"fp_version"`
+	Visited   int       `json:"visited"`
+	Steps     int64     `json:"steps"`
+	Fresh     int64     `json:"fresh"`
+	Digest    [2]uint64 `json:"digest"`
 }
 
 // Encode frames the checkpoint in the checksummed segment format: meta
 // JSON, then the visited fingerprints (sorted, so the bytes are
-// deterministic), then the frontier entries.
+// deterministic).
 func (ck *SliceCheckpoint) Encode() ([]byte, error) {
-	meta, err := json.Marshal(sliceCkptMeta{Slice: ck.Slice, Level: ck.Level, FPVersion: ck.FPVersion, Visited: len(ck.Visited)})
+	meta, err := json.Marshal(sliceCkptMeta{
+		Slice: ck.Slice, Level: ck.Level, FPVersion: ck.FPVersion, Visited: len(ck.Visited),
+		Steps: ck.Steps, Fresh: ck.Fresh, Digest: ck.Digest,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +242,7 @@ func (ck *SliceCheckpoint) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, rec := range [][]byte{meta, visited, AppendEntries(nil, ck.Frontier)} {
+	for _, rec := range [][]byte{meta, visited} {
 		if err := sw.Append(rec); err != nil {
 			return nil, err
 		}
@@ -237,22 +251,31 @@ func (ck *SliceCheckpoint) Encode() ([]byte, error) {
 }
 
 // DecodeSliceCheckpoint verifies and unpacks an encoded slice checkpoint.
+// Negative counts are rejected like corruption: a mark's steps and fresh
+// counts go straight into the run's witness.
 func DecodeSliceCheckpoint(data []byte) (*SliceCheckpoint, error) {
 	recs, err := checkpoint.ReadSegment(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
-	if len(recs) != 3 {
-		return nil, fmt.Errorf("dist: slice checkpoint has %d records, want 3", len(recs))
+	if len(recs) != 2 {
+		return nil, fmt.Errorf("dist: slice checkpoint has %d records, want 2", len(recs))
 	}
 	var meta sliceCkptMeta
 	if err := json.Unmarshal(recs[0], &meta); err != nil {
 		return nil, fmt.Errorf("dist: slice checkpoint meta: %w", err)
 	}
+	if meta.Slice < 0 || meta.Level < 0 || meta.Steps < 0 || meta.Fresh < 0 {
+		return nil, fmt.Errorf("dist: slice checkpoint has negative fields: slice %d level %d steps %d fresh %d",
+			meta.Slice, meta.Level, meta.Steps, meta.Fresh)
+	}
 	if len(recs[1])%explore.FingerprintBytes != 0 || len(recs[1])/explore.FingerprintBytes != meta.Visited {
 		return nil, fmt.Errorf("dist: slice checkpoint declares %d visited fingerprints, holds %d bytes", meta.Visited, len(recs[1]))
 	}
-	ck := &SliceCheckpoint{Slice: meta.Slice, Level: meta.Level, FPVersion: meta.FPVersion}
+	ck := &SliceCheckpoint{
+		Slice: meta.Slice, Level: meta.Level, FPVersion: meta.FPVersion,
+		Steps: meta.Steps, Fresh: meta.Fresh, Digest: meta.Digest,
+	}
 	ck.Visited = make([]explore.Fingerprint, 0, meta.Visited)
 	for b := recs[1]; len(b) > 0; b = b[explore.FingerprintBytes:] {
 		fp, err := explore.FingerprintFromBytes(b[:explore.FingerprintBytes])
@@ -260,9 +283,6 @@ func DecodeSliceCheckpoint(data []byte) (*SliceCheckpoint, error) {
 			return nil, err
 		}
 		ck.Visited = append(ck.Visited, fp)
-	}
-	if ck.Frontier, err = DecodeEntries(recs[2]); err != nil {
-		return nil, err
 	}
 	return ck, nil
 }

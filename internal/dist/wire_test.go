@@ -104,7 +104,9 @@ func TestSliceCheckpointRoundTrip(t *testing.T) {
 		Level:     4,
 		FPVersion: explore.FingerprintVersion,
 		Visited:   []explore.Fingerprint{{9, 9}, {1, 2}, {1, 1}},
-		Frontier:  sampleEntries(),
+		Steps:     17,
+		Fresh:     3,
+		Digest:    explore.Fingerprint{0xfeed, 0xface},
 	}
 	data, err := ck.Encode()
 	if err != nil {
@@ -114,19 +116,19 @@ func TestSliceCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Slice != ck.Slice || got.Level != ck.Level || got.FPVersion != ck.FPVersion {
+	if got.Slice != ck.Slice || got.Level != ck.Level || got.FPVersion != ck.FPVersion ||
+		got.Steps != ck.Steps || got.Fresh != ck.Fresh || got.Digest != ck.Digest {
 		t.Fatalf("meta %+v, want %+v", got, ck)
 	}
-	if len(got.Visited) != len(ck.Visited) || len(got.Frontier) != len(ck.Frontier) {
-		t.Fatalf("decoded %d visited / %d frontier, want %d / %d",
-			len(got.Visited), len(got.Frontier), len(ck.Visited), len(ck.Frontier))
+	if len(got.Visited) != len(ck.Visited) {
+		t.Fatalf("decoded %d visited, want %d", len(got.Visited), len(ck.Visited))
 	}
 	// Encoding sorts the visited set, so a checkpoint's bytes are a pure
 	// function of the state, whatever map-iteration order produced it.
 	data2, err := (&SliceCheckpoint{
 		Slice: 1, Level: 4, FPVersion: ck.FPVersion,
-		Visited:  []explore.Fingerprint{{1, 1}, {1, 2}, {9, 9}},
-		Frontier: sampleEntries(),
+		Visited: []explore.Fingerprint{{1, 1}, {1, 2}, {9, 9}},
+		Steps:   17, Fresh: 3, Digest: ck.Digest,
 	}).Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +140,16 @@ func TestSliceCheckpointRoundTrip(t *testing.T) {
 	for cut := 0; cut < len(data); cut++ {
 		if _, err := DecodeSliceCheckpoint(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+	// Negative counts are refused: they would feed the witness.
+	for _, bad := range []SliceCheckpoint{{Steps: -1}, {Fresh: -1}} {
+		body, err := bad.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSliceCheckpoint(body); err == nil {
+			t.Fatalf("checkpoint with steps %d fresh %d accepted", bad.Steps, bad.Fresh)
 		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 
 // Worker is one shard-worker process (or goroutine, in tests). It polls
 // the coordinator for slice leases and drives every slice it holds through
-// the per-level expand/ingest protocol. All state is private to the single
-// Run goroutine; crash tolerance comes from the coordinator's checkpoints
-// and retained chunks, not from anything the worker persists locally.
+// the per-level protocol: ingest, expand, mark. All state is private to the
+// single Run goroutine; crash tolerance comes from the coordinator's
+// checkpoints and retained chunks, not from anything the worker persists
+// locally.
 type Worker struct {
 	ID    string
 	URL   string // coordinator base URL, e.g. http://127.0.0.1:9131
@@ -29,28 +30,16 @@ type Worker struct {
 	Fault *faults.ShardFault
 	Scope *obs.Scope
 	Seed  int64
-	// PollInterval overrides the idle wait between polls (default: a
-	// fifth of the lease).
-	PollInterval time.Duration
 }
 
-// sliceState is the worker's in-memory state for one leased slice.
+// sliceState is the worker's in-memory state for one leased slice: the
+// visited set as of the newest level the slice finished. The frontier
+// lives only inside a level's run — it is rebuilt from the previous
+// level's chunks every time.
 type sliceState struct {
-	epoch    int
-	level    int // the level st.frontier sits at
-	lastCkpt int // newest level this worker posted/loaded a checkpoint for
-	visited  map[explore.Fingerprint]struct{}
-	frontier []Entry
-
-	// Cached per-level results, so a repost after the coordinator cleared
-	// our barrier marks (revoke + regrant back to us) does not recompute.
-	expandLevel int // level outgoing/steps are valid for, -1 none
-	outgoing    map[int][]Entry
-	steps       int64
-	ingestLevel int // level next/fresh/digest are valid for, -1 none
-	next        []Entry
-	fresh       int64
-	digest      explore.Fingerprint
+	epoch   int
+	level   int // newest level finished (checkpointed), -1 before level 0
+	visited map[explore.Fingerprint]struct{}
 }
 
 // Run drives the worker until the run completes, the context is
@@ -71,12 +60,9 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	fpr := w.Opts.NewFingerprinter()
 	rootFP := fpr.Fingerprint(w.Root)
-	idle := w.PollInterval
-	if idle <= 0 {
-		idle = time.Duration(spec.LeaseMS) * time.Millisecond / 5
-		if idle < 5*time.Millisecond {
-			idle = 5 * time.Millisecond
-		}
+	idle := time.Duration(spec.LeaseMS) * time.Millisecond / 5
+	if idle < 5*time.Millisecond {
+		idle = 5 * time.Millisecond
 	}
 	states := make(map[int]*sliceState)
 	var faultFired bool
@@ -103,61 +89,28 @@ func (w *Worker) Run(ctx context.Context) error {
 				delete(states, s)
 			}
 		}
-		drop := func(s int, err error) error {
+		progress := false
+		for _, s := range ids {
+			ps := owned[s]
+			if ps.Expanded {
+				continue // marked; nothing to do until the level closes
+			}
+			st, ok := states[s]
+			var err error
+			if !ok || st.epoch != ps.Epoch {
+				st, err = w.adopt(ctx, cl, spec, s, ps)
+			}
+			if err == nil {
+				states[s] = st
+				err = w.runLevel(ctx, cl, spec, fpr, rootFP, s, st, resp.Level, &faultFired)
+			}
 			if errors.Is(err, ErrLeaseLost) {
 				delete(states, s)
 				w.Scope.Event("dist_worker_lease_lost")
-				return nil
-			}
-			return err
-		}
-		for _, s := range ids {
-			ps := owned[s]
-			st, ok := states[s]
-			if !ok || st.epoch != ps.Epoch {
-				st, err = w.adopt(ctx, cl, spec, rootFP, s, ps, resp.Level)
-				if err != nil {
-					if err := drop(s, err); err != nil {
-						return err
-					}
-					continue
-				}
-				states[s] = st
-			}
-			// Promote a slice whose ingest closed the previous level.
-			if st.level == resp.Level-1 {
-				if st.ingestLevel != st.level {
-					return fmt.Errorf("dist: slice %d at level %d with no ingest result while run is at %d", s, st.level, resp.Level)
-				}
-				st.frontier = st.next
-				st.level = resp.Level
-				st.next = nil
-				st.expandLevel, st.ingestLevel = -1, -1
-			} else if st.level != resp.Level {
-				return fmt.Errorf("dist: slice %d at level %d while run is at %d", s, st.level, resp.Level)
-			}
-		}
-		progress := false
-		for _, s := range ids {
-			st, ok := states[s]
-			if !ok {
-				continue
-			}
-			ps := owned[s]
-			var err error
-			switch {
-			case resp.Phase == phaseExpand && !ps.Expanded:
-				err = w.expand(ctx, cl, spec, fpr, s, st, resp.Level, &faultFired)
-			case resp.Phase == phaseIngest && !ps.Ingested:
-				err = w.ingest(ctx, cl, s, st, resp.Level)
-			default:
 				continue
 			}
 			if err != nil {
-				if err := drop(s, err); err != nil {
-					return err
-				}
-				continue
+				return err
 			}
 			progress = true
 		}
@@ -170,13 +123,11 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // adopt builds the local state for a freshly granted (or epoch-bumped)
-// slice: load its last checkpoint — or seed from the root at level 0 —
-// then catch up to the run's level by replaying the retained exchange
-// chunks, and post the start-of-level checkpoint so the next owner after
-// us starts no further back than we did.
-func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, rootFP explore.Fingerprint, s int, ps pollSlice, level int) (*sliceState, error) {
-	st := &sliceState{epoch: ps.Epoch, lastCkpt: -1, expandLevel: -1, ingestLevel: -1}
-	st.visited = make(map[explore.Fingerprint]struct{})
+// slice that has not marked the run's current level: load its newest
+// checkpoint — the previous level's, which runLevel checks — or, with
+// none yet, start before level 0.
+func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, s int, ps pollSlice) (*sliceState, error) {
+	st := &sliceState{epoch: ps.Epoch, level: -1, visited: make(map[explore.Fingerprint]struct{})}
 	if ps.HasCkpt {
 		ck, err := cl.getCheckpoint(ctx, s)
 		if err != nil {
@@ -188,67 +139,35 @@ func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, rootFP explor
 		for _, fp := range ck.Visited {
 			st.visited[fp] = struct{}{}
 		}
-		st.frontier = ck.Frontier
 		st.level = ck.Level
-		st.lastCkpt = ck.Level
-	} else {
-		if level != 0 {
-			return nil, fmt.Errorf("dist: slice %d granted at level %d with no checkpoint", s, level)
-		}
-		if explore.ShardOf(rootFP, spec.Slices) == s {
-			st.visited[rootFP] = struct{}{}
-			st.frontier = []Entry{{FP: rootFP}}
-		}
-	}
-	if st.level < level {
-		if st.level != level-1 {
-			return nil, fmt.Errorf("dist: slice %d checkpoint at level %d is too old for level %d", s, st.level, level)
-		}
-		// Catch-up: the previous level's chunk set is complete and
-		// retained, so ingesting it reproduces — byte for byte — the
-		// frontier the dead owner would have carried into this level.
-		next, _, _, err := w.ingestChunks(ctx, cl, s, st, st.level)
-		if err != nil {
-			return nil, err
-		}
-		st.frontier = next
-		st.level = level
-	}
-	if st.lastCkpt < st.level {
-		if err := w.postCheckpoint(ctx, cl, spec, s, st); err != nil {
-			return nil, err
-		}
 	}
 	w.Scope.Event("dist_worker_adopted")
 	return st, nil
 }
 
-// postCheckpoint posts the slice's start-of-level state.
-func (w *Worker) postCheckpoint(ctx context.Context, cl *client, spec Spec, s int, st *sliceState) error {
-	ck := SliceCheckpoint{Slice: s, Level: st.level, FPVersion: spec.FPVersion}
-	ck.Visited = make([]explore.Fingerprint, 0, len(st.visited))
-	for fp := range st.visited {
-		ck.Visited = append(ck.Visited, fp)
+// runLevel runs slice s through the level: ingest the previous level's
+// chunks addressed to it (at level 0, seed the root instead), expand the
+// fresh configurations — replay each to a configuration, apply every
+// enabled move, and bucket the children by destination slice — ship the
+// buckets as verified chunks, and post the slice's checkpoint for the
+// level as its barrier mark. The level at the depth cap is ingested but
+// never expanded.
+func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, fpr *explore.Fingerprinter, rootFP explore.Fingerprint, s int, st *sliceState, level int, faultFired *bool) error {
+	if st.level != level-1 {
+		return fmt.Errorf("dist: slice %d at level %d while run is at %d", s, st.level, level)
 	}
-	ck.Frontier = st.frontier
-	body, err := ck.Encode()
-	if err != nil {
-		return err
-	}
-	if err := cl.putCheckpoint(ctx, s, st.level, body); err != nil {
-		return err
-	}
-	st.lastCkpt = st.level
-	return nil
-}
-
-// expand runs the slice's expand phase at level: replay each frontier
-// entry to a configuration, apply every enabled move, and bucket the
-// children by destination slice; then ship the buckets as verified chunks
-// and post the expand barrier mark with the transition count.
-func (w *Worker) expand(ctx context.Context, cl *client, spec Spec, fpr *explore.Fingerprinter, s int, st *sliceState, level int, faultFired *bool) error {
-	if st.lastCkpt < level {
-		if err := w.postCheckpoint(ctx, cl, spec, s, st); err != nil {
+	var frontier []Entry
+	var fresh int64
+	var digest explore.Fingerprint
+	if level == 0 {
+		if explore.ShardOf(rootFP, spec.Slices) == s {
+			st.visited[rootFP] = struct{}{}
+			frontier = []Entry{{FP: rootFP}}
+			fresh, digest = 1, rootFP
+		}
+	} else {
+		var err error
+		if frontier, fresh, digest, err = w.ingestChunks(ctx, cl, s, st, level-1); err != nil {
 			return err
 		}
 	}
@@ -256,18 +175,18 @@ func (w *Worker) expand(ctx context.Context, cl *client, spec Spec, fpr *explore
 		*faultFired = true
 		w.Fault.Trigger()
 	}
-	if st.expandLevel != level {
+	var steps int64
+	if spec.MaxDepth == 0 || level < spec.MaxDepth {
 		heartbeatEvery := time.Duration(spec.LeaseMS) * time.Millisecond / 5
 		lastBeat := time.Now()
 		outgoing := make(map[int][]Entry)
-		var steps int64
 		var moves []model.Move
-		for i := range st.frontier {
-			e := &st.frontier[i]
+		for i := range frontier {
+			e := &frontier[i]
 			cfg := e.Replay(w.Root)
 			moves = explore.AppendMoves(moves[:0], cfg, w.Procs)
 			for _, mv := range moves {
-				child := explore.Apply(cfg, mv)
+				child := model.ApplyMove(cfg, mv)
 				steps++
 				fp := fpr.Fingerprint(child)
 				packed, err := model.PackMove(mv)
@@ -288,38 +207,48 @@ func (w *Worker) expand(ctx context.Context, cl *client, spec Spec, fpr *explore
 				lastBeat = time.Now()
 			}
 		}
-		st.outgoing = outgoing
-		st.steps = steps
-		st.expandLevel = level
-	}
-	dests := make([]int, 0, len(st.outgoing))
-	for d := range st.outgoing {
-		dests = append(dests, d)
-	}
-	sort.Ints(dests)
-	for i, d := range dests {
-		body, err := EncodeFrontierChunk(level, s, d, st.outgoing[d])
-		if err != nil {
-			return err
+		dests := make([]int, 0, len(outgoing))
+		for d := range outgoing {
+			dests = append(dests, d)
 		}
-		if err := cl.putChunk(ctx, body); err != nil {
-			return err
-		}
-		// A scripted kill fires after the first chunk lands: the torn
-		// middle of an exchange, the worst moment to die.
-		if i == 0 && w.Fault != nil && w.Fault.Kind == "kill" && w.Fault.At(level) && !*faultFired {
-			*faultFired = true
-			w.Fault.Trigger()
+		sort.Ints(dests)
+		for i, d := range dests {
+			body, err := EncodeFrontierChunk(level, s, d, outgoing[d])
+			if err != nil {
+				return err
+			}
+			if err := cl.putChunk(ctx, body); err != nil {
+				return err
+			}
+			// A scripted kill fires after the first chunk lands: the torn
+			// middle of an exchange, the worst moment to die.
+			if i == 0 && w.Fault != nil && w.Fault.Kind == "kill" && w.Fault.At(level) && !*faultFired {
+				*faultFired = true
+				w.Fault.Trigger()
+			}
 		}
 	}
-	return cl.postExpanded(ctx, s, level, st.steps)
+	ck := SliceCheckpoint{Slice: s, Level: level, FPVersion: spec.FPVersion, Steps: steps, Fresh: fresh, Digest: digest}
+	ck.Visited = make([]explore.Fingerprint, 0, len(st.visited))
+	for fp := range st.visited {
+		ck.Visited = append(ck.Visited, fp)
+	}
+	body, err := ck.Encode()
+	if err != nil {
+		return err
+	}
+	if err := cl.postMark(ctx, s, level, st.epoch, body); err != nil {
+		return err
+	}
+	st.level = level
+	return nil
 }
 
-// ingestChunks fetches and ingests every retained chunk addressed to slice
-// s at the level, in from-slice order (ascending — the order is part of
-// the frontier's byte determinism), deduplicating against the slice's
-// visited set. Returns the fresh entries in ingest order with their count
-// and XOR digest.
+// ingestChunks fetches and ingests every retained chunk addressed to slice s at
+// the level, in from-slice order (ascending — the order is part of the
+// frontier's byte determinism), deduplicating against the slice's visited
+// set. Returns the fresh entries in ingest order with their count and XOR
+// digest.
 func (w *Worker) ingestChunks(ctx context.Context, cl *client, s int, st *sliceState, level int) ([]Entry, int64, explore.Fingerprint, error) {
 	froms, err := cl.chunkSources(ctx, level, s)
 	if err != nil {
@@ -347,18 +276,4 @@ func (w *Worker) ingestChunks(ctx context.Context, cl *client, s int, st *sliceS
 		}
 	}
 	return next, fresh, digest, nil
-}
-
-// ingest runs the slice's ingest phase at level and posts the barrier mark
-// with the fresh count and digest the coordinator folds into the witness.
-func (w *Worker) ingest(ctx context.Context, cl *client, s int, st *sliceState, level int) error {
-	if st.ingestLevel != level {
-		next, fresh, digest, err := w.ingestChunks(ctx, cl, s, st, level)
-		if err != nil {
-			return err
-		}
-		st.next, st.fresh, st.digest = next, fresh, digest
-		st.ingestLevel = level
-	}
-	return cl.postIngested(ctx, s, level, st.fresh, st.digest)
 }

@@ -131,7 +131,7 @@ func replayTo(res *Result, root model.Config, id int) (model.Config, error) {
 	}
 	cfg := root
 	for _, m := range path {
-		cfg = Apply(cfg, m)
+		cfg = model.ApplyMove(cfg, m)
 	}
 	return cfg, nil
 }

@@ -215,14 +215,6 @@ func Moves(c model.Config, p []int) []model.Move {
 	return AppendMoves(make([]model.Move, 0, len(p)+2), c, p)
 }
 
-// Apply performs the move on c.
-func Apply(c model.Config, m model.Move) model.Config {
-	if k, _ := model.PeekOp(c.State(m.Pid)); k == model.OpCoin {
-		return c.Step(m.Pid, m.Coin)
-	}
-	return c.StepDet(m.Pid)
-}
-
 // levelEntry is one frontier configuration awaiting expansion: its node id
 // and its record in the frontier arena (the parent template child packing
 // patches).

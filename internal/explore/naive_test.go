@@ -24,7 +24,7 @@ func naiveReach(c model.Config, p []int, opts Options) (keys []string, steps int
 	for queue := []model.Config{c}; len(queue) > 0; queue = queue[1:] {
 		for _, m := range Moves(queue[0], p) {
 			steps++
-			child := Apply(queue[0], m)
+			child := model.ApplyMove(queue[0], m)
 			if !visit(child) {
 				continue
 			}

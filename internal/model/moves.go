@@ -60,17 +60,18 @@ func MovesOf(s Schedule) Path {
 	return p
 }
 
-// RunPath applies the path to configuration c. Coin outcomes are taken from
-// the moves; a coin-flip step whose move carries no outcome defaults to "0".
+// RunPath applies the path to configuration c, one ApplyMove per move.
 func RunPath(c Config, p Path) Config {
 	for _, m := range p {
-		c = applyMove(c, m)
+		c = ApplyMove(c, m)
 	}
 	return c
 }
 
-func applyMove(c Config, m Move) Config {
-	if c.State(m.Pid).Pending().Kind == OpCoin {
+// ApplyMove performs one move on c. The coin outcome is taken from the
+// move; a coin-flip step whose move carries no outcome defaults to "0".
+func ApplyMove(c Config, m Move) Config {
+	if k, _ := PeekOp(c.State(m.Pid)); k == OpCoin {
 		out := m.Coin
 		if out == Bottom {
 			out = "0"

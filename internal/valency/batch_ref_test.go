@@ -134,7 +134,7 @@ func (o *Oracle) refBatchSearch(ctx context.Context, c model.Config, cands [][]i
 			if childMask == 0 {
 				continue
 			}
-			child := explore.Apply(cfg, mv)
+			child := model.ApplyMove(cfg, mv)
 			fp := fper.Fingerprint(child)
 			prev, ok := seen[fp]
 			if ok && childMask&^prev == 0 {
