@@ -30,6 +30,10 @@ const (
 	clientAttempts  = 14
 )
 
+// clientTimeout bounds every worker request end to end. The coordinator
+// caps a parked poll at half of it (maxPark), so a park never times out.
+const clientTimeout = 30 * time.Second
+
 // errTerminal wraps a response that retrying cannot fix — a 4xx other
 // than 409/429. The worker surfaces it instead of burning attempts.
 type errTerminal struct{ err error }
@@ -58,7 +62,7 @@ func newClient(base, worker string, seed int64) *client {
 	return &client{
 		base:   base,
 		worker: worker,
-		http:   &http.Client{Timeout: 30 * time.Second},
+		http:   &http.Client{Timeout: clientTimeout},
 		rng:    rand.New(rand.NewSource(seed)),
 	}
 }

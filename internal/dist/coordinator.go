@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -40,9 +41,11 @@ type chunkKey struct{ level, from, to int }
 // Coordinator owns the authoritative state of a distributed run: slice
 // leases, the level barrier, retained exchange chunks and checkpoints, and
 // the aggregated per-level witness stats. It runs no goroutines of its
-// own — leases are expired lazily on every worker request — and its whole
-// state sits behind one mutex, which the modest request rate (a handful of
-// polls and posts per worker per level) never contends.
+// own — leases are expired lazily on every worker request, and a poll
+// with nothing to hand out parks on its own request goroutine until the
+// barrier moves — and its whole state sits behind one mutex, which the
+// modest request rate (a handful of polls and posts per worker per level)
+// never contends.
 type Coordinator struct {
 	spec   Spec
 	rootFP explore.Fingerprint
@@ -59,6 +62,12 @@ type Coordinator struct {
 	done    bool
 	witness []byte
 	doneCh  chan struct{}
+
+	// advanced is closed, and replaced, whenever the barrier moves: a
+	// level closes or the run ends. Parked polls wait on it. parkCap
+	// bounds a park below the worker client's request timeout.
+	advanced chan struct{}
+	parkCap  time.Duration
 
 	// levelStart anchors the exchange-latency histogram: each chunk post
 	// is observed as time-since-level-start, so the distribution shows how
@@ -86,7 +95,8 @@ type Coordinator struct {
 
 // ExchangeLatencyBoundsMicros buckets dist_exchange_us, the time from a
 // level's start to each exchange-chunk arrival: sub-millisecond for
-// in-memory test runs up to minutes for reassignment-delayed levels.
+// in-memory test runs up to minutes for reassignment-delayed levels. The
+// dist_poll_park_us histogram of parked-poll waits shares the buckets.
 var ExchangeLatencyBoundsMicros = []int64{1000, 5000, 10000, 50000, 100000, 500000, 1000000, 5000000, 30000000, 120000000}
 
 // NewCoordinator builds a coordinator for the run described by spec.
@@ -111,6 +121,8 @@ func NewCoordinator(spec Spec, rootFP explore.Fingerprint, scope *obs.Scope) (*C
 		chunks:  make(map[chunkKey][]byte),
 		doneCh:  make(chan struct{}),
 
+		advanced:   make(chan struct{}),
+		parkCap:    maxPark,
 		levelStart: time.Now(),
 	}
 	scope.Gauge("dist_slices").Set(int64(spec.Slices))
@@ -147,6 +159,18 @@ func (c *Coordinator) Witness() ([]byte, error) {
 // lease returns the lease duration.
 func (c *Coordinator) lease() time.Duration {
 	return time.Duration(c.spec.LeaseMS) * time.Millisecond
+}
+
+// maxPark caps a parked poll at half the worker client's request timeout,
+// so a park under a long lease can never time the poll out.
+const maxPark = clientTimeout / 2
+
+// park returns how long a poll with nothing to hand out waits for the
+// barrier to move: a fifth of the lease — the interval at which an idle
+// worker used to re-poll, so lazy lease expiry is discovered no later than
+// before — floored at 5ms and capped at parkCap.
+func (c *Coordinator) park() time.Duration {
+	return min(max(c.lease()/5, 5*time.Millisecond), c.parkCap)
 }
 
 // markedLocked reports whether slice s has posted its mark for the
@@ -221,11 +245,56 @@ type pollResponse struct {
 	Slices []pollSlice `json:"slices"`
 }
 
-// poll is a worker's heartbeat + work request.
-func (c *Coordinator) poll(w string) pollResponse {
-	now := time.Now()
+// idle reports whether the response gives the worker nothing to do: the
+// run is not over and every slice it leases has marked the level.
+func (r pollResponse) idle() bool {
+	if r.Done {
+		return false
+	}
+	for _, ps := range r.Slices {
+		if !ps.Expanded {
+			return false
+		}
+	}
+	return true
+}
+
+// poll is a worker's heartbeat + work request. An answer that would give
+// the worker nothing to do is held back: the poll parks until the barrier
+// moves, the park interval elapses, or ctx (the request's) is done, and
+// then answers afresh. A level therefore closes to every worker in one
+// round trip instead of after an idle sleep. A cancelled park answers the
+// pre-park response without a second heartbeat: a worker that hung up is
+// not renewed.
+func (c *Coordinator) poll(ctx context.Context, w string) pollResponse {
+	c.mu.Lock()
+	resp := c.pollLocked(w, time.Now())
+	advanced := c.advanced
+	c.mu.Unlock()
+	if !resp.idle() {
+		return resp
+	}
+	start := time.Now()
+	t := time.NewTimer(c.park())
+	defer t.Stop()
+	select {
+	case <-advanced:
+		c.scope.Counter("dist_polls_woken").Add(1)
+	case <-t.C:
+	case <-ctx.Done():
+	}
+	c.scope.Histogram("dist_poll_park_us", ExchangeLatencyBoundsMicros).Observe(time.Since(start).Microseconds())
+	if ctx.Err() != nil {
+		return resp
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.pollLocked(w, time.Now())
+}
+
+// pollLocked answers a poll at once: heartbeat, grant, and report the
+// barrier position with the worker's leased slices.
+func (c *Coordinator) pollLocked(w string, now time.Time) pollResponse {
 	c.heartbeatLocked(w, now)
 	if !c.done {
 		c.grantLocked(w, now)
@@ -487,6 +556,10 @@ func (c *Coordinator) maybeAdvanceLocked() {
 	}
 	c.pruneChunksLocked(c.level)
 	c.scope.Event("dist_level_done")
+	// The barrier moves either way: release every parked poll. Woken
+	// polls answer under c.mu, so they see the state this call leaves.
+	close(c.advanced)
+	c.advanced = make(chan struct{})
 	if fresh == 0 || (c.spec.MaxDepth > 0 && c.level >= c.spec.MaxDepth) {
 		c.done = true
 		c.witness = RenderWitness(c.spec, c.levels, c.steps)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // testRun wires a coordinator behind a real HTTP server plus the machine
@@ -25,6 +27,9 @@ type testRun struct {
 	root  model.Config
 	procs []int
 	opts  explore.Options
+
+	mu    sync.Mutex
+	polls map[string]int // /dist/poll requests served, by worker
 }
 
 func newTestRun(t *testing.T, n, slices, maxDepth int, leaseMS int64) *testRun {
@@ -55,9 +60,25 @@ func newTestRun(t *testing.T, n, slices, maxDepth int, leaseMS int64) *testRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Handler())
-	t.Cleanup(srv.Close)
-	return &testRun{spec: spec, coord: coord, srv: srv, root: root, procs: procs, opts: opts}
+	tr := &testRun{spec: spec, coord: coord, root: root, procs: procs, opts: opts, polls: make(map[string]int)}
+	h := coord.Handler()
+	tr.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/dist/poll" {
+			tr.mu.Lock()
+			tr.polls[r.URL.Query().Get("worker")]++
+			tr.mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(tr.srv.Close)
+	return tr
+}
+
+// pollCount is how many /dist/poll requests the worker has made.
+func (tr *testRun) pollCount(worker string) int {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.polls[worker]
 }
 
 func (tr *testRun) worker(id string, seed int64, fault *faults.ShardFault) *Worker {
@@ -141,8 +162,6 @@ func TestDistributedMatchesSequential(t *testing.T) {
 		{"n3-5slices-depth2", 3, 5, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// A short lease keeps the idle poll (a fifth of it) short, so
-			// the 48 levels of the unbounded n=2 run take seconds.
 			tr := newTestRun(t, tc.n, tc.slices, tc.maxDepth, 400)
 			got := tr.runWorkers(t,
 				tr.worker("w0", 1, nil), tr.worker("w1", 2, nil), tr.worker("w2", 3, nil))
@@ -238,8 +257,8 @@ func markBody(t *testing.T, s, level int, steps, fresh int64) []byte {
 func TestIngestDoneSurvivesPhaseRegression(t *testing.T) {
 	tr := newTestRun(t, 3, 2, 3, 60)
 	c := tr.coord
-	live := c.poll("live") // grants slice 0
-	dead := c.poll("dead") // grants slice 1
+	live := c.poll(context.Background(), "live") // grants slice 0
+	dead := c.poll(context.Background(), "dead") // grants slice 1
 	if err := c.mark("dead", 1, 0, dead.Slices[0].Epoch, markBody(t, 1, 0, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +318,7 @@ func TestStaleIngestDoneAfterRegrant(t *testing.T) {
 func TestCheckpointLevelMonotonic(t *testing.T) {
 	tr := newTestRun(t, 3, 1, 3, 5000)
 	c := tr.coord
-	epoch := c.poll("w").Slices[0].Epoch
+	epoch := c.poll(context.Background(), "w").Slices[0].Epoch
 	for level := 0; level <= 1; level++ {
 		if err := c.mark("w", 0, level, epoch, markBody(t, 0, level, 1, 1)); err != nil {
 			t.Fatal(err)
@@ -393,5 +412,203 @@ func TestPostFromNonOwnerRejected(t *testing.T) {
 	}
 	if !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("zombie post failed with %v, want ErrLeaseLost", err)
+	}
+}
+
+// parkRun is a two-slice run for the parked-poll tests: worker "a" owns
+// slice 0 and has marked level 0 with nothing fresh, worker "b" owns slice
+// 1 and has not marked. The
+// coordinator records into a live scope so the park metrics can be read.
+func parkRun(t *testing.T, leaseMS int64) (*testRun, *client) {
+	t.Helper()
+	tr := newTestRun(t, 3, 2, 3, leaseMS)
+	tr.coord.scope = obs.NewScope(nil)
+	ctx := context.Background()
+	a := newClient(tr.srv.URL, "a", 1)
+	resp, err := a.poll(ctx) // grants slice 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.coord.poll(ctx, "b") // grants slice 1
+	if err := a.postMark(ctx, 0, 0, resp.Slices[0].Epoch, markBody(t, 0, 0, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	return tr, a
+}
+
+// markB posts worker b's level-0 mark for slice 1, closing level 0 (or,
+// with fresh 0, ending the run).
+func markB(t *testing.T, tr *testRun, fresh int64) {
+	t.Helper()
+	epoch := tr.coord.poll(context.Background(), "b").Slices[0].Epoch
+	if err := tr.coord.mark("b", 1, 0, epoch, markBody(t, 1, 0, 1, fresh)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// asyncPoll runs a's poll on its own goroutine.
+func asyncPoll(t *testing.T, a *client) <-chan pollResponse {
+	out := make(chan pollResponse, 1)
+	go func() {
+		resp, err := a.poll(context.Background())
+		if err != nil {
+			t.Errorf("poll: %v", err)
+		}
+		out <- resp
+	}()
+	return out
+}
+
+// TestParkedPollWakesOnLevelClose: a worker whose slices have all marked
+// the level parks in its poll, and the last slice's mark releases it with
+// the new level at once — not a park interval later.
+func TestParkedPollWakesOnLevelClose(t *testing.T) {
+	tr, a := parkRun(t, 2000) // park: 400ms
+	out := asyncPoll(t, a)
+	time.Sleep(50 * time.Millisecond) // let a's poll park
+	closed := time.Now()
+	markB(t, tr, 1)
+	resp := <-out
+	if waited := time.Since(closed); waited > 100*time.Millisecond {
+		t.Fatalf("parked poll returned %v after the level closed", waited)
+	}
+	if resp.Level != 1 || len(resp.Slices) != 1 || resp.Slices[0].Expanded {
+		t.Fatalf("woken poll answered %+v, want level 1 with slice 0 to run", resp)
+	}
+	reg := tr.coord.scope.Registry()
+	if n := reg.Counter("dist_polls_woken").Value(); n != 1 {
+		t.Fatalf("dist_polls_woken = %d, want 1", n)
+	}
+	if n := reg.Histogram("dist_poll_park_us", ExchangeLatencyBoundsMicros).Count(); n != 1 {
+		t.Fatalf("dist_poll_park_us has %d samples, want 1", n)
+	}
+	var prom bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"dist_polls_woken", "dist_poll_park_us"} {
+		if !strings.Contains(prom.String(), name) {
+			t.Fatalf("/metrics lacks %s:\n%s", name, prom.String())
+		}
+	}
+}
+
+// TestParkedPollTimesOut: with no barrier movement a parked poll answers
+// after the park interval, a fifth of the lease, at the same level — and
+// the worker's lease survives the park.
+func TestParkedPollTimesOut(t *testing.T) {
+	tr, a := parkRun(t, 500) // park: 100ms
+	start := time.Now()
+	resp := <-asyncPoll(t, a)
+	waited := time.Since(start)
+	if park := tr.coord.park(); waited < park || waited > park+300*time.Millisecond {
+		t.Fatalf("parked poll returned after %v, want about %v", waited, park)
+	}
+	if resp.Level != 0 || len(resp.Slices) != 1 || !resp.Slices[0].Expanded {
+		t.Fatalf("timed-out poll answered %+v, want level 0 with slice 0 marked", resp)
+	}
+	if h := tr.coord.ShardHealth()[0]; h.Worker != "a" {
+		t.Fatalf("slice 0 owned by %q after the park, want a", h.Worker)
+	}
+	if n := tr.coord.scope.Registry().Counter("dist_polls_woken").Value(); n != 0 {
+		t.Fatalf("dist_polls_woken = %d after a timeout", n)
+	}
+}
+
+// TestParkedPollReleasedOnDoneAndCancel: the run ending releases a parked
+// poll with Done, and a cancelled request context releases it without
+// renewing the lease of the worker that hung up.
+func TestParkedPollReleasedOnDoneAndCancel(t *testing.T) {
+	t.Run("done", func(t *testing.T) {
+		tr, a := parkRun(t, 2000)
+		out := asyncPoll(t, a)
+		time.Sleep(50 * time.Millisecond)
+		ended := time.Now()
+		markB(t, tr, 0) // nothing fresh anywhere: the run ends
+		resp := <-out
+		if waited := time.Since(ended); waited > 100*time.Millisecond {
+			t.Fatalf("parked poll returned %v after the run ended", waited)
+		}
+		if !resp.Done {
+			t.Fatalf("released poll answered %+v, want Done", resp)
+		}
+	})
+	t.Run("cancel", func(t *testing.T) {
+		tr, _ := parkRun(t, 2000)
+		c := tr.coord
+		ctx, cancel := context.WithCancel(context.Background())
+		out := make(chan pollResponse, 1)
+		go func() { out <- c.poll(ctx, "a") }()
+		time.Sleep(50 * time.Millisecond)
+		c.mu.Lock()
+		seen := c.workers["a"]
+		c.mu.Unlock()
+		cancelled := time.Now()
+		cancel()
+		resp := <-out
+		if waited := time.Since(cancelled); waited > 100*time.Millisecond {
+			t.Fatalf("parked poll returned %v after its context was cancelled", waited)
+		}
+		if resp.Done || resp.Level != 0 {
+			t.Fatalf("cancelled poll answered %+v", resp)
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if !c.workers["a"].Equal(seen) {
+			t.Fatal("a cancelled park renewed the lease of the worker that hung up")
+		}
+	})
+}
+
+// TestParkStaysBelowClientTimeout: under a 10-minute lease the park is
+// capped at half the worker client's request timeout, so the poll answers
+// in time instead of timing out into retries, and the worker keeps its
+// lease. The cap and the timeout are scaled down together to run fast.
+func TestParkStaysBelowClientTimeout(t *testing.T) {
+	tr, a := parkRun(t, 10*60*1000)
+	if got := tr.coord.park(); got != maxPark || maxPark >= clientTimeout {
+		t.Fatalf("park under a 10-minute lease is %v (cap %v), client timeout %v", got, maxPark, clientTimeout)
+	}
+	tr.coord.parkCap = 150 * time.Millisecond
+	a.http.Timeout = 2 * tr.coord.parkCap
+	start := time.Now()
+	resp, err := a.poll(context.Background())
+	if err != nil {
+		t.Fatalf("parked poll failed: %v", err)
+	}
+	if waited := time.Since(start); waited >= a.http.Timeout {
+		t.Fatalf("parked poll took %v, client timeout %v", waited, a.http.Timeout)
+	}
+	if n := tr.pollCount("a"); n != 2 {
+		t.Fatalf("%d polls from a, want 2: the park was retried", n)
+	}
+	if len(resp.Slices) != 1 || tr.coord.ShardHealth()[0].Worker != "a" {
+		t.Fatalf("worker lost its lease across the park: %+v", resp)
+	}
+}
+
+// TestIdleWorkerDoesNotSpin: a worker with no slice has nothing to do for
+// the whole run, and without a sleep of its own it must still not spin —
+// each poll parks until a level closes or the park interval elapses, so it
+// makes at most one poll per level close plus one per park interval.
+func TestIdleWorkerDoesNotSpin(t *testing.T) {
+	tr := newTestRun(t, 3, 1, 6, 2000)
+	// The holder stalls half a lease at level 2 — short of losing its
+	// slice — so the idle worker also sits through park timeouts.
+	stall := &faults.ShardFault{Kind: "stall", Level: 2, Stall: time.Second}
+	holds := func() bool { return tr.coord.ShardHealth()[0].Worker == "holder" }
+	start := time.Now()
+	got := tr.runWorkersAfter(t, holds, tr.worker("holder", 1, stall), tr.worker("idle", 2, nil))
+	elapsed := time.Since(start)
+	if want := tr.sequential(t); !bytes.Equal(got, want) {
+		t.Fatalf("witness differs:\n--- distributed\n%s--- sequential\n%s", got, want)
+	}
+	if h := tr.coord.ShardHealth()[0]; h.Worker != "holder" || h.Reassigns != 0 {
+		t.Fatalf("the slice moved: %+v", h)
+	}
+	levels := tr.coord.Status().Level
+	limit := int(elapsed/tr.coord.park()) + levels + 2
+	if n := tr.pollCount("idle"); n < 2 || n > limit {
+		t.Fatalf("idle worker polled %d times in %v over %d levels, want 2..%d", n, elapsed, levels, limit)
 	}
 }

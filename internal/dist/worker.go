@@ -15,10 +15,12 @@ import (
 
 // Worker is one shard-worker process (or goroutine, in tests). It polls
 // the coordinator for slice leases and drives every slice it holds through
-// the per-level protocol: ingest, expand, mark. All state is private to the
-// single Run goroutine; crash tolerance comes from the coordinator's
-// checkpoints and retained chunks, not from anything the worker persists
-// locally.
+// the per-level protocol: ingest, expand, mark. It never sleeps between
+// polls: a poll with nothing to hand out parks in the coordinator until
+// the level closes, so the poll is also the barrier wait. All state is
+// private to the single Run goroutine; crash tolerance comes from the
+// coordinator's checkpoints and retained chunks, not from anything the
+// worker persists locally.
 type Worker struct {
 	ID    string
 	URL   string // coordinator base URL, e.g. http://127.0.0.1:9131
@@ -60,10 +62,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	fpr := w.Opts.NewFingerprinter()
 	rootFP := fpr.Fingerprint(w.Root)
-	idle := time.Duration(spec.LeaseMS) * time.Millisecond / 5
-	if idle < 5*time.Millisecond {
-		idle = 5 * time.Millisecond
-	}
 	states := make(map[int]*sliceState)
 	var faultFired bool
 	for {
@@ -89,7 +87,6 @@ func (w *Worker) Run(ctx context.Context) error {
 				delete(states, s)
 			}
 		}
-		progress := false
 		for _, s := range ids {
 			ps := owned[s]
 			if ps.Expanded {
@@ -110,12 +107,6 @@ func (w *Worker) Run(ctx context.Context) error {
 				continue
 			}
 			if err != nil {
-				return err
-			}
-			progress = true
-		}
-		if !progress {
-			if err := sleep(ctx, idle); err != nil {
 				return err
 			}
 		}
@@ -179,7 +170,11 @@ func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, fpr *explo
 	if spec.MaxDepth == 0 || level < spec.MaxDepth {
 		heartbeatEvery := time.Duration(spec.LeaseMS) * time.Millisecond / 5
 		lastBeat := time.Now()
-		outgoing := make(map[int][]Entry)
+		// outgoing buckets children by destination slice. Child paths are
+		// carved from a per-level slab instead of one allocation per child:
+		// they live only until their chunk is encoded.
+		outgoing := make([][]Entry, spec.Slices)
+		var slab []uint32
 		var moves []model.Move
 		for i := range frontier {
 			e := &frontier[i]
@@ -193,7 +188,14 @@ func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, fpr *explo
 				if err != nil {
 					return err
 				}
-				path := make([]uint32, len(e.Path)+1)
+				n := len(e.Path) + 1
+				if cap(slab)-len(slab) < n {
+					// First block: one move per process per entry; later
+					// blocks double.
+					slab = make([]uint32, 0, max(len(frontier)*len(w.Procs)*n, 2*cap(slab)))
+				}
+				path := slab[len(slab) : len(slab)+n : len(slab)+n]
+				slab = slab[:len(slab)+n]
 				copy(path, e.Path)
 				path[len(e.Path)] = packed
 				dest := explore.ShardOf(fp, spec.Slices)
@@ -207,22 +209,22 @@ func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, fpr *explo
 				lastBeat = time.Now()
 			}
 		}
-		dests := make([]int, 0, len(outgoing))
-		for d := range outgoing {
-			dests = append(dests, d)
-		}
-		sort.Ints(dests)
-		for i, d := range dests {
-			body, err := EncodeFrontierChunk(level, s, d, outgoing[d])
+		posted := 0
+		for d, entries := range outgoing {
+			if len(entries) == 0 {
+				continue
+			}
+			body, err := EncodeFrontierChunk(level, s, d, entries)
 			if err != nil {
 				return err
 			}
 			if err := cl.putChunk(ctx, body); err != nil {
 				return err
 			}
+			posted++
 			// A scripted kill fires after the first chunk lands: the torn
 			// middle of an exchange, the worst moment to die.
-			if i == 0 && w.Fault != nil && w.Fault.Kind == "kill" && w.Fault.At(level) && !*faultFired {
+			if posted == 1 && w.Fault != nil && w.Fault.Kind == "kill" && w.Fault.At(level) && !*faultFired {
 				*faultFired = true
 				w.Fault.Trigger()
 			}
