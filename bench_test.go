@@ -29,7 +29,7 @@ import (
 
 func diskOpts() explore.Options {
 	return explore.Options{
-		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
+		AppendKey: consensus.DiskRace{}.AppendCanonicalKey,
 	}
 }
 

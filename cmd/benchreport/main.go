@@ -77,7 +77,7 @@ type Run struct {
 	BytesPerCfg   float64 `json:"bytes_per_config"`
 	// PackNsPerCfg and HashNsPerCfg decompose the hot path: nanoseconds to
 	// pack one configuration of this workload into its codec record, and
-	// to stream+hash its canonical key, measured steady-state over a
+	// to append+hash its canonical key, measured steady-state over a
 	// sample of the reachable space.
 	PackNsPerCfg float64 `json:"pack_ns_per_config,omitempty"`
 	HashNsPerCfg float64 `json:"hash_ns_per_config,omitempty"`
@@ -139,7 +139,7 @@ type Report struct {
 
 func diskOpts() explore.Options {
 	return explore.Options{
-		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
+		AppendKey: consensus.DiskRace{}.AppendCanonicalKey,
 	}
 }
 
@@ -196,8 +196,9 @@ func measureReachOnce(name string, c model.Config, pids []int, opts explore.Opti
 
 // measurePackHash samples the workload's reachable space and times the two
 // packed-path primitives steady-state: PackTo into a warm codec and a
-// streamed canonical-key hash. Per-configuration nanoseconds for both feed
-// the pack_ns_per_config / hash_ns_per_config columns.
+// canonical-key hash (appended into reused scratch). Per-configuration
+// nanoseconds for both feed the pack_ns_per_config / hash_ns_per_config
+// columns.
 func measurePackHash(c model.Config, pids []int, opts explore.Options, sample int) (packNs, hashNs float64, err error) {
 	opts.Workers = 1
 	opts.MaxConfigs = sample

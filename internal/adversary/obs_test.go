@@ -48,8 +48,8 @@ func TestTheorem1N4Traced(t *testing.T) {
 	defer srv.Close()
 
 	opts := explore.Options{
-		KeyTo: consensus.DiskRace{}.CanonicalKeyTo,
-		Obs:   scope,
+		AppendKey: consensus.DiskRace{}.AppendCanonicalKey,
+		Obs:       scope,
 	}
 	engine := New(valency.New(opts))
 

@@ -140,7 +140,7 @@ func (s acState) Next(in model.Value) model.State {
 	}
 }
 
-// Key implements model.State.
-func (s acState) Key() string {
-	return fmt.Sprintf("AC|%s|%d|%s", string(s.v), s.phase, string(s.outcome))
+// AppendKey implements model.State.
+func (s acState) AppendKey(dst []byte) []byte {
+	return fmt.Appendf(dst, "AC|%s|%d|%s", string(s.v), s.phase, string(s.outcome))
 }

@@ -2,16 +2,16 @@ package consensus
 
 import (
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/model"
 )
 
-// CanonicalKey returns a state identity for DiskRace configurations that
-// quotients away the absolute magnitude of ballot rounds, shrinking the
-// protocol's unbounded reachable space to a finite (though still large)
-// quotient for exhaustive search.
+// AppendCanonicalKey appends a state identity for DiskRace configurations
+// to dst and returns the extended slice. The identity quotients away the
+// absolute magnitude of ballot rounds, shrinking the protocol's unbounded
+// reachable space to a finite (though still large) quotient for exhaustive
+// search.
 //
 // The abstraction: collect every round number occurring anywhere in the
 // configuration (register blocks and local states) and renumber them
@@ -33,48 +33,53 @@ import (
 // TestDiskRaceCanonicalBisimulation property-checks this argument by
 // shifting rounds of reachable configurations and running the shifted and
 // unshifted copies in lockstep.
-func (DiskRace) CanonicalKey(c model.Config) string {
-	// Collect the rounds present. A configuration of n processes holds at
-	// most 4n state rounds and 2n register rounds.
+//
+// The hot path takes its scratch from a pool, renumbers rounds into a
+// reused buffer and appends register blocks field by field, so a caller
+// that reuses dst allocates nothing per configuration. Safe for concurrent
+// use (each call takes its own pooled scratch), as explore.Options.AppendKey
+// requires. Configurations of any other protocol fall back to their exact
+// identity, Config.AppendKey.
+func (DiskRace) AppendCanonicalKey(dst []byte, c model.Config) []byte {
 	n := c.NumProcesses()
-	rounds := make([]int, 0, 6*n)
-	states := make([]diskState, n)
-	blocks := make([]diskBlock, c.NumRegisters())
+	sc := canonPool.Get().(*canonScratch)
+	defer canonPool.Put(sc)
+	sc.rounds = sc.rounds[:0]
+	sc.states = sc.states[:0]
+	sc.blocks = sc.blocks[:0]
 	for pid := 0; pid < n; pid++ {
 		s, ok := c.State(pid).(diskState)
 		if !ok {
-			// Not a DiskRace configuration; fall back to exact keys.
-			return c.Key()
+			return c.AppendKey(dst)
 		}
-		states[pid] = s
-		rounds = append(rounds, s.ballot.K, s.ownBal.K, s.maxK, s.maxBal.K)
+		sc.states = append(sc.states, s)
+		sc.rounds = append(sc.rounds, s.ballot.K, s.ownBal.K, s.maxK, s.maxBal.K)
 	}
 	for r := 0; r < c.NumRegisters(); r++ {
-		blocks[r] = decodeBlock(c.Register(r))
-		rounds = append(rounds, blocks[r].Mbal.K, blocks[r].Bal.K)
+		block := sc.decode(c.Register(r))
+		sc.blocks = append(sc.blocks, block)
+		sc.rounds = append(sc.rounds, block.Mbal.K, block.Bal.K)
 	}
-	remap := buildRoundRemap(rounds)
+	remap := buildRoundRemapInto(sc.rounds, sc.to)
+	sc.to = remap.to
 
-	var b strings.Builder
-	b.Grow(32 * n)
-	for pid := range states {
-		states[pid].writeCanonicalKey(&b, remap)
-		b.WriteByte('\x1f')
+	for i := range sc.states {
+		dst = sc.states[i].appendCanonicalKey(dst, remap)
+		dst = append(dst, '\x1f')
 	}
-	b.WriteByte('\x1e')
-	for r := range blocks {
-		block := blocks[r]
+	dst = append(dst, '\x1e')
+	for _, block := range sc.blocks {
 		block.Mbal.K = remap.apply(block.Mbal.K)
 		block.Bal.K = remap.apply(block.Bal.K)
-		b.WriteString(string(block.encode()))
-		b.WriteByte('\x1f')
+		dst = block.appendTo(dst)
+		dst = append(dst, '\x1f')
 	}
-	return b.String()
+	return dst
 }
 
-// canonScratch is the reusable working set of one CanonicalKeyTo call. The
-// remap's from/to slices alias rounds/to, so everything is reclaimed
-// together when the scratch returns to the pool.
+// canonScratch is the reusable working set of one AppendCanonicalKey
+// call. The remap's from/to slices alias rounds/to, so everything is
+// reclaimed together when the scratch returns to the pool.
 type canonScratch struct {
 	rounds []int
 	to     []int
@@ -103,66 +108,6 @@ func (sc *canonScratch) decode(v model.Value) diskBlock {
 
 var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
 
-// CanonicalKeyTo streams exactly the bytes CanonicalKey returns into w
-// without materialising the string: scratch comes from a pool, rounds are
-// renumbered into a reused buffer, and register blocks are re-encoded
-// field-by-field. CanonicalKey stays the reference implementation;
-// TestCanonicalKeyToMatchesCanonicalKey holds the two together. Safe for
-// concurrent use (each call takes its own pooled scratch), as
-// explore.Options.KeyTo requires.
-func (DiskRace) CanonicalKeyTo(w model.KeyWriter, c model.Config) {
-	n := c.NumProcesses()
-	sc := canonPool.Get().(*canonScratch)
-	defer canonPool.Put(sc)
-	sc.rounds = sc.rounds[:0]
-	sc.states = sc.states[:0]
-	sc.blocks = sc.blocks[:0]
-	for pid := 0; pid < n; pid++ {
-		s, ok := c.State(pid).(diskState)
-		if !ok {
-			// Not a DiskRace configuration; fall back to exact keys,
-			// mirroring CanonicalKey's c.Key() fallback.
-			c.KeyTo(w)
-			return
-		}
-		sc.states = append(sc.states, s)
-		sc.rounds = append(sc.rounds, s.ballot.K, s.ownBal.K, s.maxK, s.maxBal.K)
-	}
-	for r := 0; r < c.NumRegisters(); r++ {
-		block := sc.decode(c.Register(r))
-		sc.blocks = append(sc.blocks, block)
-		sc.rounds = append(sc.rounds, block.Mbal.K, block.Bal.K)
-	}
-	remap := buildRoundRemapInto(sc.rounds, sc.to)
-	sc.to = remap.to
-
-	for i := range sc.states {
-		sc.states[i].writeCanonicalKeyTo(w, remap)
-		_ = w.WriteByte('\x1f')
-	}
-	_ = w.WriteByte('\x1e')
-	for i := range sc.blocks {
-		block := sc.blocks[i]
-		block.Mbal.K = remap.apply(block.Mbal.K)
-		block.Bal.K = remap.apply(block.Bal.K)
-		writeBlockTo(w, block)
-		_ = w.WriteByte('\x1f')
-	}
-}
-
-// writeBlockTo streams diskBlock.encode without building the string.
-func writeBlockTo(w model.KeyWriter, b diskBlock) {
-	w.WriteInt(b.Mbal.K)
-	_ = w.WriteByte('.')
-	w.WriteInt(b.Mbal.Pid)
-	_ = w.WriteByte(';')
-	w.WriteInt(b.Bal.K)
-	_ = w.WriteByte('.')
-	w.WriteInt(b.Bal.Pid)
-	_ = w.WriteByte(';')
-	_, _ = w.WriteString(string(b.Inp))
-}
-
 // roundRemap is an order-preserving, gap-capped renumbering of rounds,
 // represented as two parallel sorted slices (binary-search application).
 type roundRemap struct {
@@ -184,14 +129,14 @@ func (m roundRemap) apply(k int) int {
 	return m.to[i]
 }
 
-// buildRoundRemap computes the renumbering for the given (unsorted,
-// duplicate-bearing) list of rounds.
-func buildRoundRemap(rounds []int) roundRemap {
-	return buildRoundRemapInto(rounds, nil)
+// ballot returns b with its round renumbered.
+func (m roundRemap) ballot(b Ballot) Ballot {
+	return Ballot{K: m.apply(b.K), Pid: b.Pid}
 }
 
-// buildRoundRemapInto is buildRoundRemap appending the renumbered rounds
-// into to's backing array (the hot path reuses it across calls). rounds is
+// buildRoundRemapInto computes the renumbering for the given (unsorted,
+// duplicate-bearing) list of rounds, appending the renumbered rounds into
+// to's backing array (the hot path reuses it across calls). rounds is
 // sorted and deduplicated in place.
 func buildRoundRemapInto(rounds, to []int) roundRemap {
 	// rounds is 6n small ints; insertion sort in place skips the generic
@@ -234,74 +179,33 @@ func buildRoundRemapInto(rounds, to []int) roundRemap {
 	return roundRemap{from: from, to: to}
 }
 
-// writeCanonicalKey is diskState.Key with rounds renumbered, written without
-// fmt for speed (canonicalisation dominates exhaustive-search CPU time).
-func (s diskState) writeCanonicalKey(b *strings.Builder, remap roundRemap) {
-	writeBallot := func(bal Ballot) {
-		b.WriteString(strconv.Itoa(remap.apply(bal.K)))
-		b.WriteByte('.')
-		b.WriteString(strconv.Itoa(bal.Pid))
-	}
-	b.WriteByte('D')
-	b.WriteString(strconv.Itoa(s.pid))
-	b.WriteByte('|')
-	b.WriteString(string(s.input))
-	b.WriteByte('|')
-	writeBallot(s.ballot)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(s.phase)))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(s.idx))
-	b.WriteByte('|')
-	writeBallot(s.ownBal)
-	b.WriteByte('|')
-	b.WriteString(string(s.ownInp))
-	b.WriteByte('|')
-	b.WriteString(string(s.proposal))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(remap.apply(s.maxK)))
+// appendCanonicalKey appends s's identity with every round renumbered by
+// remap. Unlike diskState.AppendKey it omits n (every process of one
+// configuration shares it) and flags an abort with '!'.
+func (s *diskState) appendCanonicalKey(dst []byte, remap roundRemap) []byte {
+	dst = append(dst, 'D')
+	dst = strconv.AppendInt(dst, int64(s.pid), 10)
+	dst = append(dst, '|')
+	dst = append(dst, s.input...)
+	dst = append(dst, '|')
+	dst = appendBallot(dst, remap.ballot(s.ballot))
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(s.phase), 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(s.idx), 10)
+	dst = append(dst, '|')
+	dst = appendBallot(dst, remap.ballot(s.ownBal))
+	dst = append(dst, '|')
+	dst = append(dst, s.ownInp...)
+	dst = append(dst, '|')
+	dst = append(dst, s.proposal...)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(remap.apply(s.maxK)), 10)
 	if s.aborting {
-		b.WriteByte('!')
+		dst = append(dst, '!')
 	}
-	b.WriteByte('|')
-	writeBallot(s.maxBal)
-	b.WriteByte('|')
-	b.WriteString(string(s.balInp))
-}
-
-// writeCanonBallot streams one remapped ballot (a top-level function, not
-// a closure, so the per-state hot loop stays closure-free).
-func writeCanonBallot(w model.KeyWriter, remap roundRemap, bal Ballot) {
-	w.WriteInt(remap.apply(bal.K))
-	_ = w.WriteByte('.')
-	w.WriteInt(bal.Pid)
-}
-
-// writeCanonicalKeyTo streams exactly the bytes writeCanonicalKey builds.
-func (s *diskState) writeCanonicalKeyTo(w model.KeyWriter, remap roundRemap) {
-	_ = w.WriteByte('D')
-	w.WriteInt(s.pid)
-	_ = w.WriteByte('|')
-	_, _ = w.WriteString(string(s.input))
-	_ = w.WriteByte('|')
-	writeCanonBallot(w, remap, s.ballot)
-	_ = w.WriteByte('|')
-	w.WriteInt(int(s.phase))
-	_ = w.WriteByte('|')
-	w.WriteInt(s.idx)
-	_ = w.WriteByte('|')
-	writeCanonBallot(w, remap, s.ownBal)
-	_ = w.WriteByte('|')
-	_, _ = w.WriteString(string(s.ownInp))
-	_ = w.WriteByte('|')
-	_, _ = w.WriteString(string(s.proposal))
-	_ = w.WriteByte('|')
-	w.WriteInt(remap.apply(s.maxK))
-	if s.aborting {
-		_ = w.WriteByte('!')
-	}
-	_ = w.WriteByte('|')
-	writeCanonBallot(w, remap, s.maxBal)
-	_ = w.WriteByte('|')
-	_, _ = w.WriteString(string(s.balInp))
+	dst = append(dst, '|')
+	dst = appendBallot(dst, remap.ballot(s.maxBal))
+	dst = append(dst, '|')
+	return append(dst, s.balInp...)
 }

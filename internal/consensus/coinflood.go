@@ -167,8 +167,8 @@ func (s coinFloodState) target() model.State {
 	return coinFloodState{n: s.n, pref: s.pref, phase: floodWrite, idx: idx}
 }
 
-// Key implements model.State.
-func (s coinFloodState) Key() string {
+// AppendKey implements model.State.
+func (s coinFloodState) AppendKey(dst []byte) []byte {
 	flags := make([]byte, 0, 2)
 	if s.confirming {
 		flags = append(flags, 'y')
@@ -176,6 +176,6 @@ func (s coinFloodState) Key() string {
 	if s.flipping {
 		flags = append(flags, 'f')
 	}
-	return fmt.Sprintf("CF%d|%s|%d|%d|%s|%s",
+	return fmt.Appendf(dst, "CF%d|%s|%d|%d|%s|%s",
 		s.n, string(s.pref), s.phase, s.idx, string(flags), s.seen)
 }

@@ -29,7 +29,7 @@ func (b Ballot) IsZero() bool { return b.K == 0 }
 
 // String implements fmt.Stringer ("k.pid").
 func (b Ballot) String() string {
-	return strconv.Itoa(b.K) + "." + strconv.Itoa(b.Pid)
+	return string(appendBallot(nil, b))
 }
 
 func parseBallot(s string) Ballot {
@@ -62,8 +62,8 @@ func parseBallot(s string) Ballot {
 // Safety is Disk Paxos safety (Gafni & Lamport 2002, Lemmas 1-3; the single
 // disk is trivially a majority of one), and is additionally model-checked
 // here for small n — exactly, despite the unbounded ballot space, via the
-// gap-capped ballot canonicalisation in CanonicalKey. Obstruction freedom:
-// a process running alone aborts at most once, adopts a round above
+// gap-capped ballot canonicalisation in AppendCanonicalKey. Obstruction
+// freedom: a process running alone aborts at most once, adopts a round above
 // everything it saw, and then completes both phases unopposed.
 //
 // Ballots grow without bound under contention, which after Flood's finite-
@@ -104,16 +104,23 @@ func (b diskBlock) encode() model.Value {
 	// execution, where the three-way concat's intermediate ballot strings
 	// were measurable.
 	var arr [40]byte
-	buf := strconv.AppendInt(arr[:0], int64(b.Mbal.K), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendInt(buf, int64(b.Mbal.Pid), 10)
-	buf = append(buf, ';')
-	buf = strconv.AppendInt(buf, int64(b.Bal.K), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendInt(buf, int64(b.Bal.Pid), 10)
-	buf = append(buf, ';')
-	buf = append(buf, b.Inp...)
-	return model.Value(buf)
+	return model.Value(b.appendTo(arr[:0]))
+}
+
+// appendTo appends the register encoding "mbal;bal;inp".
+func (b diskBlock) appendTo(dst []byte) []byte {
+	dst = appendBallot(dst, b.Mbal)
+	dst = append(dst, ';')
+	dst = appendBallot(dst, b.Bal)
+	dst = append(dst, ';')
+	return append(dst, b.Inp...)
+}
+
+// appendBallot appends b as "k.pid", the form Ballot.String returns.
+func appendBallot(dst []byte, b Ballot) []byte {
+	dst = strconv.AppendInt(dst, int64(b.K), 10)
+	dst = append(dst, '.')
+	return strconv.AppendInt(dst, int64(b.Pid), 10)
 }
 
 func decodeBlock(v model.Value) diskBlock {
@@ -292,52 +299,33 @@ func (s diskState) abort() diskState {
 	return next
 }
 
-// Key implements model.State. It is the reference form of KeyTo.
-func (s diskState) Key() string {
-	return fmt.Sprintf("D%d|%d|%s|%v|%d|%d|%v|%s|%s|%d.%t|%v|%s",
-		s.n, s.pid, string(s.input), s.ballot, s.phase, s.idx,
-		s.ownBal, string(s.ownInp), string(s.proposal),
-		s.maxK, s.aborting, s.maxBal, string(s.balInp))
-}
-
-var _ model.StateKeyWriter = diskState{}
-
-// KeyTo implements model.StateKeyWriter, streaming exactly the bytes Key
-// returns without fmt.
-func (s diskState) KeyTo(w model.KeyWriter) {
-	writeBallot := func(b Ballot) {
-		w.WriteInt(b.K)
-		_ = w.WriteByte('.')
-		w.WriteInt(b.Pid)
-	}
-	_ = w.WriteByte('D')
-	w.WriteInt(s.n)
-	_ = w.WriteByte('|')
-	w.WriteInt(s.pid)
-	_ = w.WriteByte('|')
-	_, _ = w.WriteString(string(s.input))
-	_ = w.WriteByte('|')
-	writeBallot(s.ballot)
-	_ = w.WriteByte('|')
-	w.WriteInt(int(s.phase))
-	_ = w.WriteByte('|')
-	w.WriteInt(s.idx)
-	_ = w.WriteByte('|')
-	writeBallot(s.ownBal)
-	_ = w.WriteByte('|')
-	_, _ = w.WriteString(string(s.ownInp))
-	_ = w.WriteByte('|')
-	_, _ = w.WriteString(string(s.proposal))
-	_ = w.WriteByte('|')
-	w.WriteInt(s.maxK)
-	_ = w.WriteByte('.')
-	if s.aborting {
-		_, _ = w.WriteString("true")
-	} else {
-		_, _ = w.WriteString("false")
-	}
-	_ = w.WriteByte('|')
-	writeBallot(s.maxBal)
-	_ = w.WriteByte('|')
-	_, _ = w.WriteString(string(s.balInp))
+// AppendKey implements model.State: every field, '|'-separated, with the
+// abort flag after maxK as ".true" or ".false".
+func (s diskState) AppendKey(dst []byte) []byte {
+	dst = append(dst, 'D')
+	dst = strconv.AppendInt(dst, int64(s.n), 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(s.pid), 10)
+	dst = append(dst, '|')
+	dst = append(dst, s.input...)
+	dst = append(dst, '|')
+	dst = appendBallot(dst, s.ballot)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(s.phase), 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(s.idx), 10)
+	dst = append(dst, '|')
+	dst = appendBallot(dst, s.ownBal)
+	dst = append(dst, '|')
+	dst = append(dst, s.ownInp...)
+	dst = append(dst, '|')
+	dst = append(dst, s.proposal...)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(s.maxK), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendBool(dst, s.aborting)
+	dst = append(dst, '|')
+	dst = appendBallot(dst, s.maxBal)
+	dst = append(dst, '|')
+	return append(dst, s.balInp...)
 }

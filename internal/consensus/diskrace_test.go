@@ -13,7 +13,7 @@ import (
 // diskOpts is the exploration configuration for DiskRace: the ballot
 // canonicalisation is what makes its unbounded state space exhaustible.
 func diskOpts() explore.Options {
-	return explore.Options{KeyTo: DiskRace{}.CanonicalKeyTo}
+	return explore.Options{AppendKey: DiskRace{}.AppendCanonicalKey}
 }
 
 // TestDiskRaceAgreement model-checks DiskRace over the canonical
@@ -105,8 +105,19 @@ func TestDiskRaceSoloFast(t *testing.T) {
 	}
 }
 
+// canonKey is c's canonical identity in its append form, checked against
+// the CanonicalKey reference on the way.
+func canonKey(t *testing.T, c model.Config) string {
+	t.Helper()
+	key := string(DiskRace{}.AppendCanonicalKey(nil, c))
+	if ref := (DiskRace{}).CanonicalKey(c); key != ref {
+		t.Fatalf("AppendCanonicalKey %q, CanonicalKey %q", key, ref)
+	}
+	return key
+}
+
 // TestDiskRaceCanonicalBisimulation property-checks the soundness argument
-// of CanonicalKey: shifting every ballot round of a reachable configuration
+// of AppendCanonicalKey: shifting every ballot round of a reachable configuration
 // by a constant yields the same canonical key, and running the shifted and
 // unshifted configurations in lockstep under random schedules preserves
 // canonical keys and decided values step by step.
@@ -120,7 +131,7 @@ func TestDiskRaceCanonicalBisimulation(t *testing.T) {
 		}
 		shift := 1 + rng.Intn(5)
 		d := shiftRounds(c, shift)
-		if got, want := (DiskRace{}).CanonicalKey(d), (DiskRace{}).CanonicalKey(c); got != want {
+		if got, want := canonKey(t, d), canonKey(t, c); got != want {
 			t.Fatalf("trial %d: canonical keys diverge after shift %d:\n got %q\nwant %q",
 				trial, shift, got, want)
 		}
@@ -129,7 +140,7 @@ func TestDiskRaceCanonicalBisimulation(t *testing.T) {
 			pid := rng.Intn(3)
 			c = c.StepDet(pid)
 			d = d.StepDet(pid)
-			if (DiskRace{}).CanonicalKey(d) != (DiskRace{}).CanonicalKey(c) {
+			if canonKey(t, d) != canonKey(t, c) {
 				t.Fatalf("trial %d: lockstep divergence at step %d", trial, step)
 			}
 			for q := 0; q < 3; q++ {

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/model"
@@ -207,38 +208,23 @@ func (s floodState) evaluate(seen string) model.State {
 	return floodState{rules: s.rules, n: s.n, pref: pref, phase: floodWrite, idx: target}
 }
 
-// Key implements model.State.
-func (s floodState) Key() string {
+// AppendKey implements model.State.
+func (s floodState) AppendKey(dst []byte) []byte {
+	dst = append(dst, s.rules.name...)
+	dst = strconv.AppendInt(dst, int64(s.n), 10)
+	dst = append(dst, '|')
+	dst = append(dst, s.pref...)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(s.phase), 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(s.idx), 10)
+	dst = append(dst, '|')
 	confirm := byte('n')
 	if s.confirming {
 		confirm = 'y'
 	}
-	return fmt.Sprintf("%s%d|%s|%d|%d|%c|%s",
-		s.rules.name, s.n, string(s.pref), s.phase, s.idx, confirm, s.seen)
-}
-
-var _ model.StateKeyWriter = floodState{}
-
-// KeyTo streams exactly the bytes Key returns (model.StateKeyWriter), so
-// fingerprinting a flood configuration never materialises key strings.
-// TestFloodKeyToMatchesKey holds the two together.
-func (s floodState) KeyTo(w model.KeyWriter) {
-	_, _ = w.WriteString(s.rules.name)
-	w.WriteInt(s.n)
-	_ = w.WriteByte('|')
-	_, _ = w.WriteString(string(s.pref))
-	_ = w.WriteByte('|')
-	w.WriteInt(int(s.phase))
-	_ = w.WriteByte('|')
-	w.WriteInt(s.idx)
-	_ = w.WriteByte('|')
-	confirm := byte('n')
-	if s.confirming {
-		confirm = 'y'
-	}
-	_ = w.WriteByte(confirm)
-	_ = w.WriteByte('|')
-	_, _ = w.WriteString(s.seen)
+	dst = append(dst, confirm, '|')
+	return append(dst, s.seen...)
 }
 
 // runeOf maps a register value to its scan encoding.

@@ -92,7 +92,9 @@ func (s offsetState) Next(in model.Value) model.State {
 	return offsetState{inner: s.inner.Next(in), offset: s.offset}
 }
 
-// Key implements model.State.
-func (s offsetState) Key() string {
-	return fmt.Sprintf("O%d[%s]", s.offset, s.inner.Key())
+// AppendKey implements model.State: "O<offset>[<inner key>]".
+func (s offsetState) AppendKey(dst []byte) []byte {
+	dst = fmt.Appendf(dst, "O%d[", s.offset)
+	dst = s.inner.AppendKey(dst)
+	return append(dst, ']')
 }

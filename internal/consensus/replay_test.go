@@ -34,7 +34,7 @@ func TestReplayViolation(t *testing.T) {
 		if val, ok := c.Decided(pid); ok {
 			t.Logf("p%d decided %q", pid, string(val))
 		} else {
-			t.Logf("p%d state: %s", pid, c.State(pid).Key())
+			t.Logf("p%d state: %s", pid, c.State(pid).AppendKey(nil))
 		}
 	}
 }

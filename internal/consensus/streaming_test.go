@@ -2,6 +2,10 @@ package consensus
 
 import (
 	"context"
+	"fmt"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/explore"
@@ -22,7 +26,7 @@ func walkDiskRace(t *testing.T, n int, limit int, check func(model.Config)) {
 	for i := range pids {
 		pids[i] = i
 	}
-	opts := explore.Options{KeyTo: DiskRace{}.CanonicalKeyTo, MaxConfigs: limit}
+	opts := explore.Options{AppendKey: DiskRace{}.AppendCanonicalKey, MaxConfigs: limit}
 	seen := 0
 	_, err := explore.Reach(context.Background(), c, pids, opts, func(v explore.Visit) bool {
 		check(v.Config)
@@ -34,18 +38,118 @@ func walkDiskRace(t *testing.T, n int, limit int, check func(model.Config)) {
 	}
 }
 
-// TestCanonicalKeyToMatchesCanonicalKey holds the streaming canonicaliser
-// to its reference implementation byte for byte across reachable
-// configurations: this equality is what makes the exploration engine's
-// fingerprint dedup sound when it hashes via CanonicalKeyTo.
+// CanonicalKey is the string reference form of AppendCanonicalKey, built
+// from whole decoded structures with a strings.Builder. It is the oracle
+// the append form is held to byte for byte.
+func (DiskRace) CanonicalKey(c model.Config) string {
+	// Collect the rounds present. A configuration of n processes holds at
+	// most 4n state rounds and 2n register rounds.
+	n := c.NumProcesses()
+	rounds := make([]int, 0, 6*n)
+	states := make([]diskState, n)
+	blocks := make([]diskBlock, c.NumRegisters())
+	for pid := 0; pid < n; pid++ {
+		s, ok := c.State(pid).(diskState)
+		if !ok {
+			// Not a DiskRace configuration; fall back to exact keys.
+			return c.Key()
+		}
+		states[pid] = s
+		rounds = append(rounds, s.ballot.K, s.ownBal.K, s.maxK, s.maxBal.K)
+	}
+	for r := 0; r < c.NumRegisters(); r++ {
+		blocks[r] = decodeBlock(c.Register(r))
+		rounds = append(rounds, blocks[r].Mbal.K, blocks[r].Bal.K)
+	}
+	remap := buildRoundRemap(rounds)
+
+	var b strings.Builder
+	b.Grow(32 * n)
+	for pid := range states {
+		states[pid].writeCanonicalKey(&b, remap)
+		b.WriteByte('\x1f')
+	}
+	b.WriteByte('\x1e')
+	for r := range blocks {
+		block := blocks[r]
+		block.Mbal.K = remap.apply(block.Mbal.K)
+		block.Bal.K = remap.apply(block.Bal.K)
+		b.WriteString(string(block.encode()))
+		b.WriteByte('\x1f')
+	}
+	return b.String()
+}
+
+// buildRoundRemap computes the renumbering for the given (unsorted,
+// duplicate-bearing) list of rounds into fresh storage.
+func buildRoundRemap(rounds []int) roundRemap {
+	return buildRoundRemapInto(rounds, nil)
+}
+
+// writeCanonicalKey is the reference form of diskState.appendCanonicalKey.
+func (s diskState) writeCanonicalKey(b *strings.Builder, remap roundRemap) {
+	writeBallot := func(bal Ballot) {
+		b.WriteString(strconv.Itoa(remap.apply(bal.K)))
+		b.WriteByte('.')
+		b.WriteString(strconv.Itoa(bal.Pid))
+	}
+	b.WriteByte('D')
+	b.WriteString(strconv.Itoa(s.pid))
+	b.WriteByte('|')
+	b.WriteString(string(s.input))
+	b.WriteByte('|')
+	writeBallot(s.ballot)
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(int(s.phase)))
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(s.idx))
+	b.WriteByte('|')
+	writeBallot(s.ownBal)
+	b.WriteByte('|')
+	b.WriteString(string(s.ownInp))
+	b.WriteByte('|')
+	b.WriteString(string(s.proposal))
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(remap.apply(s.maxK)))
+	if s.aborting {
+		b.WriteByte('!')
+	}
+	b.WriteByte('|')
+	writeBallot(s.maxBal)
+	b.WriteByte('|')
+	b.WriteString(string(s.balInp))
+}
+
+// refKey is the Sprintf reference form of diskState.AppendKey.
+func (s diskState) refKey() string {
+	return fmt.Sprintf("D%d|%d|%s|%v|%d|%d|%v|%s|%s|%d.%t|%v|%s",
+		s.n, s.pid, string(s.input), s.ballot, s.phase, s.idx,
+		s.ownBal, string(s.ownInp), string(s.proposal),
+		s.maxK, s.aborting, s.maxBal, string(s.balInp))
+}
+
+// refKey is the Sprintf reference form of floodState.AppendKey.
+func (s floodState) refKey() string {
+	confirm := byte('n')
+	if s.confirming {
+		confirm = 'y'
+	}
+	return fmt.Sprintf("%s%d|%s|%d|%d|%c|%s",
+		s.rules.name, s.n, string(s.pref), s.phase, s.idx, confirm, s.seen)
+}
+
+// TestCanonicalKeyToMatchesCanonicalKey holds the append-form
+// canonicaliser to its string reference byte for byte across reachable
+// configurations, appending into one reused buffer: this equality is what
+// makes the exploration engine's fingerprint dedup sound when it hashes via
+// AppendCanonicalKey.
 func TestCanonicalKeyToMatchesCanonicalKey(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		var kb model.KeyBuilder
+		var buf []byte
 		walkDiskRace(t, n, 20000, func(c model.Config) {
-			kb.Reset()
-			DiskRace{}.CanonicalKeyTo(&kb, c)
-			if got, want := kb.String(), (DiskRace{}).CanonicalKey(c); got != want {
-				t.Fatalf("n=%d: CanonicalKeyTo wrote %q, CanonicalKey returns %q", n, got, want)
+			buf = DiskRace{}.AppendCanonicalKey(buf[:0], c)
+			if got, want := string(buf), (DiskRace{}).CanonicalKey(c); got != want {
+				t.Fatalf("n=%d: AppendCanonicalKey wrote %q, CanonicalKey returns %q", n, got, want)
 			}
 		})
 	}
@@ -53,33 +157,31 @@ func TestCanonicalKeyToMatchesCanonicalKey(t *testing.T) {
 
 // TestDiskStateKeyToMatchesKey does the same for the per-state exact key.
 func TestDiskStateKeyToMatchesKey(t *testing.T) {
-	var kb model.KeyBuilder
+	var buf []byte
 	walkDiskRace(t, 3, 20000, func(c model.Config) {
 		for pid := 0; pid < c.NumProcesses(); pid++ {
 			s := c.State(pid).(diskState)
-			kb.Reset()
-			s.KeyTo(&kb)
-			if got, want := kb.String(), s.Key(); got != want {
-				t.Fatalf("p%d: KeyTo wrote %q, Key returns %q", pid, got, want)
+			buf = s.AppendKey(buf[:0])
+			if got, want := string(buf), s.refKey(); got != want {
+				t.Fatalf("p%d: AppendKey wrote %q, reference is %q", pid, got, want)
 			}
 		}
 	})
 }
 
-// TestFloodKeyToMatchesKey holds floodState's streaming key to its Sprintf
-// reference byte for byte across reachable flood configurations.
+// TestFloodKeyToMatchesKey holds floodState's hand-rolled key to its
+// Sprintf reference byte for byte across reachable flood configurations.
 func TestFloodKeyToMatchesKey(t *testing.T) {
 	c := model.NewConfig(Flood{}, []model.Value{"0", "1", "1"})
 	opts := explore.Options{MaxConfigs: 20000}
-	var kb model.KeyBuilder
+	var buf []byte
 	seen := 0
 	_, err := explore.Reach(context.Background(), c, []int{0, 1, 2}, opts, func(v explore.Visit) bool {
 		for pid := 0; pid < v.Config.NumProcesses(); pid++ {
 			s := v.Config.State(pid).(floodState)
-			kb.Reset()
-			s.KeyTo(&kb)
-			if got, want := kb.String(), s.Key(); got != want {
-				t.Fatalf("p%d: KeyTo wrote %q, Key returns %q", pid, got, want)
+			buf = s.AppendKey(buf[:0])
+			if got, want := string(buf), s.refKey(); got != want {
+				t.Fatalf("p%d: AppendKey wrote %q, reference is %q", pid, got, want)
 			}
 		}
 		seen++
@@ -91,17 +193,20 @@ func TestFloodKeyToMatchesKey(t *testing.T) {
 }
 
 // TestCanonicalKeyToFallback pins the non-DiskRace fallback: on a foreign
-// configuration the streaming canonicaliser must emit Config.Key, exactly
-// as CanonicalKey falls back to it.
+// configuration the canonicaliser must append Config.AppendKey's bytes
+// after whatever dst already holds, exactly as CanonicalKey falls back to
+// Config.Key.
 func TestCanonicalKeyToFallback(t *testing.T) {
 	c := model.NewConfig(Flood{}, []model.Value{"0", "1"})
-	var kb model.KeyBuilder
-	DiskRace{}.CanonicalKeyTo(&kb, c)
-	if got, want := kb.String(), (DiskRace{}).CanonicalKey(c); got != want {
-		t.Fatalf("fallback mismatch: KeyTo %q, CanonicalKey %q", got, want)
+	got := string(DiskRace{}.AppendCanonicalKey(nil, c))
+	if want := (DiskRace{}).CanonicalKey(c); got != want {
+		t.Fatalf("fallback mismatch: AppendCanonicalKey %q, CanonicalKey %q", got, want)
 	}
-	if kb.String() != c.Key() {
-		t.Fatalf("fallback should be Config.Key, got %q", kb.String())
+	if got != c.Key() {
+		t.Fatalf("fallback should be Config.Key, got %q", got)
+	}
+	if pre := string(DiskRace{}.AppendCanonicalKey([]byte("pre"), c)); pre != "pre"+got {
+		t.Fatalf("fallback dropped the prefix: %q", pre)
 	}
 }
 
@@ -120,5 +225,90 @@ func TestDecodeBlockRoundTrip(t *testing.T) {
 	}
 	if got := decodeBlock(model.Bottom); got != (diskBlock{}) {
 		t.Fatalf("decodeBlock(Bottom) = %+v, want zero block", got)
+	}
+}
+
+// TestPackedCodecConcurrentIntern races four goroutines interning
+// overlapping DiskRace states, each through its own key scratch, into one
+// codec. Every goroutine must get the same id for a state, equal ids must
+// mean equal AppendKey bytes, and records built from those ids must unpack
+// to configurations with the original identity bytes. Run it under -race
+// to check the intern tables' synchronisation.
+func TestPackedCodecConcurrentIntern(t *testing.T) {
+	var configs []model.Config
+	walkDiskRace(t, 3, 1500, func(c model.Config) { configs = append(configs, c.Clone()) })
+	var states []model.State
+	for _, c := range configs {
+		for pid := 0; pid < c.NumProcesses(); pid++ {
+			states = append(states, c.State(pid))
+		}
+	}
+	pc := model.NewPackedCodec(configs[0])
+	const workers = 4
+	ids := make([][]uint32, workers)
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		ids[w] = make([]uint32, len(states))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf []byte
+			// Each worker starts at a different offset, so first sightings
+			// of a state race across workers.
+			for k := range states {
+				i := (k + w*len(states)/workers) % len(states)
+				var err error
+				if ids[w][i], buf, err = pc.InternState(buf, states[i]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	byID := map[uint32]string{}
+	for i, s := range states {
+		key := string(s.AppendKey(nil))
+		for w := 1; w < workers; w++ {
+			if ids[w][i] != ids[0][i] {
+				t.Fatalf("state %d: worker %d got id %d, worker 0 got %d", i, w, ids[w][i], ids[0][i])
+			}
+		}
+		if prev, ok := byID[ids[0][i]]; ok && prev != key {
+			t.Fatalf("id %d names both %q and %q", ids[0][i], prev, key)
+		}
+		byID[ids[0][i]] = key
+	}
+
+	words := make([]uint64, pc.Words())
+	ustates := make([]model.State, pc.NumProcesses())
+	uregs := make([]model.Value, pc.NumRegisters())
+	var want, got []byte
+	next := 0
+	for _, c := range configs {
+		for pid := 0; pid < c.NumProcesses(); pid++ {
+			pc.SetState(words, pid, ids[0][next])
+			next++
+		}
+		for r := 0; r < c.NumRegisters(); r++ {
+			vid, err := pc.InternValue(c.Register(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pc.SetValue(words, r, vid)
+		}
+		back, err := pc.UnpackInto(words, ustates, uregs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got = c.AppendKey(want[:0]), back.AppendKey(got[:0])
+		if string(got) != string(want) {
+			t.Fatalf("round trip changed the identity:\n got %q\nwant %q", got, want)
+		}
 	}
 }

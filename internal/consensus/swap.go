@@ -68,7 +68,7 @@ func (s swapState) Next(old model.Value) model.State {
 	return swapState{input: s.input, swapped: true, decided: decided}
 }
 
-// Key implements model.State.
-func (s swapState) Key() string {
-	return fmt.Sprintf("S|%s|%t|%s", string(s.input), s.swapped, string(s.decided))
+// AppendKey implements model.State.
+func (s swapState) AppendKey(dst []byte) []byte {
+	return fmt.Appendf(dst, "S|%s|%t|%s", string(s.input), s.swapped, string(s.decided))
 }

@@ -56,7 +56,7 @@ func newTestRun(t *testing.T, n, slices, maxDepth int, leaseMS int64) *testRun {
 		LeaseMS:   leaseMS,
 		FPVersion: explore.FingerprintVersion,
 	}
-	coord, err := NewCoordinator(spec, opts.Fingerprint(root), nil)
+	coord, err := NewCoordinator(spec, opts.NewFingerprinter().Fingerprint(root), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

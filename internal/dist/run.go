@@ -77,5 +77,5 @@ func RunFromSpec(spec Spec) (*Run, error) {
 
 // Coordinator builds the run's coordinator.
 func (r *Run) Coordinator(scope *obs.Scope) (*Coordinator, error) {
-	return NewCoordinator(r.Spec, r.Opts.Fingerprint(r.Root), scope)
+	return NewCoordinator(r.Spec, r.Opts.NewFingerprinter().Fingerprint(r.Root), scope)
 }

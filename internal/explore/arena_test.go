@@ -89,7 +89,7 @@ func TestArenaPathsReplay(t *testing.T) {
 	forcePool(t)
 	disk := consensus.DiskRace{}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
-	opts := Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 4000, Workers: 4}
+	opts := Options{AppendKey: disk.AppendCanonicalKey, MaxConfigs: 4000, Workers: 4}
 	var keys []string
 	res, err := Reach(context.Background(), c, []int{0, 1, 2}, opts, func(v Visit) bool {
 		keys = append(keys, keyOf(opts, v.Config))
@@ -275,5 +275,49 @@ func TestFPSetConcurrentAdds(t *testing.T) {
 	}
 	if s.Len() != perG {
 		t.Fatalf("Len = %d, want %d", s.Len(), perG)
+	}
+}
+
+// TestFingerprinterAllocFree fences both state identities: once warm, a
+// Fingerprinter digests a configuration without allocating — the DiskRace
+// canonicaliser (pooled scratch, appended into the hasher's buffer) on a
+// reachable n=4 configuration, and Config.AppendKey on a flood n=3 one.
+func TestFingerprinterAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates alloc counts and drops sync.Pool entries; the fence is a production bound")
+	}
+	disk := consensus.DiskRace{}
+	for _, tc := range []struct {
+		name  string
+		c     model.Config
+		opts  Options
+		depth int
+	}{
+		{"diskrace-n4-canonical", model.NewConfig(disk, []model.Value{"0", "1", "1", "0"}), Options{AppendKey: disk.AppendCanonicalKey}, 14},
+		{"flood-n3", model.NewConfig(consensus.Flood{}, []model.Value{"0", "1", "1"}), Options{}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The deepest configuration a capped search reaches: mid-protocol
+			// states, written registers and (for DiskRace) raised ballots.
+			var deep model.Config
+			opts := tc.opts
+			opts.MaxDepth = tc.depth
+			opts.Workers = 1
+			if _, err := Reach(context.Background(), tc.c, []int{0, 1, 2, 3}[:tc.c.NumProcesses()], opts, func(v Visit) bool {
+				deep = v.Config.Clone()
+				return true
+			}); err != nil && !errors.Is(err, ErrCapped) {
+				t.Fatal(err)
+			}
+			fpr := tc.opts.NewFingerprinter()
+			want := fpr.Fingerprint(deep)
+			var got Fingerprint
+			if allocs := testing.AllocsPerRun(100, func() { got = fpr.Fingerprint(deep) }); allocs != 0 {
+				t.Fatalf("Fingerprint allocates %.1f per call, want 0", allocs)
+			}
+			if got != want {
+				t.Fatalf("warm fingerprint %x differs from the first %x", got, want)
+			}
+		})
 	}
 }

@@ -6,7 +6,7 @@
 // The paper's arguments quantify over "P-only executions from C". For the
 // protocols this repository attacks, the set of configurations reachable by
 // P-only executions is finite modulo the protocol's canonicalisation (see
-// Options.KeyTo), so breadth-first search decides those quantifiers
+// Options.AppendKey), so breadth-first search decides those quantifiers
 // exactly. Caps guard against unbounded spaces: when a cap binds, the
 // search reports it explicitly instead of silently returning partial truth.
 //
@@ -23,8 +23,9 @@
 //
 // The frontier is expanded level-synchronously by a pool of workers
 // (Options.Workers) that deduplicate through a sharded lock-striped
-// fingerprint set and hash canonical keys streamingly (model.KeyWriter), so
-// no per-configuration key string is materialised on the hot path. The
+// fingerprint set and hash each configuration's identity bytes appended
+// into per-worker scratch (Options.AppendKey), so no per-configuration key
+// is allocated on the hot path. The
 // visit callback is always invoked from the calling goroutine, in
 // deterministic order: one worker and N workers visit the same
 // configuration count at every level, and every witness path remains
@@ -61,18 +62,18 @@ type Options struct {
 	MaxConfigs int
 	// MaxDepth caps the BFS depth (schedule length). Zero means no cap.
 	MaxDepth int
-	// KeyTo, when non-nil, replaces Config.KeyTo as the state identity
-	// used for deduplication, streaming the key into w without
-	// materialising a string. Protocols with unbounded-but-symmetric state
-	// (e.g. DiskRace's ballots) supply a canonicalising key that quotients
-	// the space by a bisimulation, making exhaustive search terminate.
-	// The function must identify only behaviourally equivalent
-	// configurations; consensus.TestDiskRaceCanonicalBisimulation is the
-	// guard for the one canonicaliser this repository ships. A KeyTo must
-	// be safe for concurrent use from multiple workers (stream into w
-	// only; any internal scratch must be pooled, as
-	// consensus.CanonicalKeyTo does).
-	KeyTo func(w model.KeyWriter, c model.Config)
+	// AppendKey, when non-nil, replaces Config.AppendKey as the state
+	// identity used for deduplication: it appends c's identity bytes to
+	// dst and returns the extended slice (each worker passes its own
+	// reused scratch). Protocols with unbounded-but-symmetric state (e.g.
+	// DiskRace's ballots) supply a canonicalising key that quotients the
+	// space by a bisimulation, making exhaustive search terminate. The
+	// function must identify only behaviourally equivalent configurations;
+	// consensus.TestDiskRaceCanonicalBisimulation is the guard for the one
+	// canonicaliser this repository ships. It must be safe for concurrent
+	// use from multiple workers (write into dst only; any internal scratch
+	// must be pooled, as consensus.DiskRace.AppendCanonicalKey does).
+	AppendKey func(dst []byte, c model.Config) []byte
 	// Workers is the number of frontier-expansion workers. Zero means
 	// GOMAXPROCS; 1 forces single-threaded expansion. Worker count never
 	// changes the number of configurations visited per level.
@@ -262,7 +263,7 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 		maxConfigs: maxConfigs,
 		visited:    mkSet(),
 		rawSeen:    mkSet(),
-		scratch:    newWorkerScratch(),
+		scratch:    new(workerScratch),
 		metrics:    newSearchMetrics(opts.Obs),
 		codec:      codec,
 		stride:     codec.Words(),

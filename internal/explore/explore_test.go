@@ -36,8 +36,11 @@ func (s chainState) Next(model.Value) model.State {
 	return chainState{pid: s.pid, left: s.left - 1}
 }
 
-func (s chainState) Key() string {
-	return "c" + strconv.Itoa(s.pid) + "." + strconv.Itoa(s.left)
+func (s chainState) AppendKey(dst []byte) []byte {
+	dst = append(dst, 'c')
+	dst = strconv.AppendInt(dst, int64(s.pid), 10)
+	dst = append(dst, '.')
+	return strconv.AppendInt(dst, int64(s.left), 10)
 }
 
 // coinMachine flips one coin then decides the outcome.
@@ -65,8 +68,10 @@ func (s coinState) Next(in model.Value) model.State {
 	return coinState{flipped: true, out: in}
 }
 
-func (s coinState) Key() string {
-	return "f" + string(s.out) + strconv.FormatBool(s.flipped)
+func (s coinState) AppendKey(dst []byte) []byte {
+	dst = append(dst, 'f')
+	dst = append(dst, s.out...)
+	return strconv.AppendBool(dst, s.flipped)
 }
 
 func TestReachCountsLineGraph(t *testing.T) {

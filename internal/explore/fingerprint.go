@@ -31,7 +31,9 @@ type Fingerprint [2]uint64
 // FNV-128a; version 2 is mix128. Snapshots record the version of the
 // fingerprints they carry, and resume refuses a mismatch: stale-hash
 // fingerprints would never match live ones, silently degrading a resumed
-// run to a cold start.
+// run to a cold start. The identity bytes hashed are as durable as the
+// hash: a change to any protocol's AppendKey output needs a new version
+// too, and core.TestFingerprintGolden pins those bytes under this one.
 const FingerprintVersion = 2
 
 // mix128 constants: the first four secrets of wyhash v4.
@@ -96,11 +98,11 @@ func mix128(p []byte) Fingerprint {
 // with the same mixing rounds as mix128. It keys the raw-identity
 // pre-filters of Reach and ReachMasked: packed records are exact
 // encodings, so equal words mean equal configurations, and a second,
-// cheaper hash over the words lets the hot path skip the canonical key
-// stream for the (majority of) transitions that recreate an already-seen
-// record verbatim. The resulting fingerprints live in their own set — they
-// use dictionary ids, which are instance-scoped, so they are never
-// persisted or compared with canonical fingerprints.
+// cheaper hash over the words lets the hot path skip building the
+// canonical key for the (majority of) transitions that recreate an
+// already-seen record verbatim. The resulting fingerprints live in their
+// own set — they use dictionary ids, which are instance-scoped, so they
+// are never persisted or compared with canonical fingerprints.
 func mixWords(ws []uint64) Fingerprint {
 	n := uint64(len(ws))
 	h1 := mixK0 ^ n*mixK2
@@ -120,58 +122,39 @@ func mixWords(ws []uint64) Fingerprint {
 	return Fingerprint{h1, h2}
 }
 
-// hasher is per-worker scratch for streaming a configuration's canonical
-// key into a fingerprint without materialising it. Not safe for
-// concurrent use.
+// hasher is per-worker scratch for fingerprinting configurations: the
+// identity bytes are appended into buf, reused across calls, so no key is
+// allocated per configuration. Not safe for concurrent use.
 type hasher struct {
-	kb model.KeyBuilder
+	buf []byte
 }
 
-func newHasher() *hasher {
-	return &hasher{}
-}
-
-// fingerprint digests c's canonical key under opts: opts.KeyTo when set,
-// Config.KeyTo otherwise.
+// fingerprint digests c's identity bytes under opts: opts.AppendKey when
+// set, Config.AppendKey otherwise.
 func (hs *hasher) fingerprint(opts *Options, c model.Config) Fingerprint {
-	hs.kb.Reset()
-	if opts.KeyTo != nil {
-		opts.KeyTo(&hs.kb, c)
+	if opts.AppendKey != nil {
+		hs.buf = opts.AppendKey(hs.buf[:0], c)
 	} else {
-		c.KeyTo(&hs.kb)
+		hs.buf = c.AppendKey(hs.buf[:0])
 	}
-	return mix128(hs.kb.Bytes())
-}
-
-var hasherPool = sync.Pool{New: func() any { return newHasher() }}
-
-// Fingerprint digests c's canonical key under o, using pooled scratch. It
-// is the key the valency oracle memoises on; it matches what the engine's
-// visited set stores for the same options.
-func (o Options) Fingerprint(c model.Config) Fingerprint {
-	hs := hasherPool.Get().(*hasher)
-	fp := hs.fingerprint(&o, c)
-	hasherPool.Put(hs)
-	return fp
+	return mix128(hs.buf)
 }
 
 // Fingerprinter is reusable fingerprinting scratch bound to one option
-// set: Options.Fingerprint's pool round-trip and options copy were
-// measurable at one call per memoised query, so single-goroutine callers
-// (the valency oracle) hold one of these instead. Not safe for concurrent
-// use.
+// set: the digest the engine's visited set stores for a configuration, and
+// the key the valency oracle memoises on. Not safe for concurrent use; each
+// goroutine holds its own.
 type Fingerprinter struct {
 	opts Options
 	hs   hasher
 }
 
-// NewFingerprinter returns a Fingerprinter computing exactly the
-// fingerprints o.Fingerprint would.
+// NewFingerprinter returns a Fingerprinter for o's state identity.
 func (o Options) NewFingerprinter() *Fingerprinter {
 	return &Fingerprinter{opts: o}
 }
 
-// Fingerprint digests c's canonical key.
+// Fingerprint digests c's identity bytes.
 func (f *Fingerprinter) Fingerprint(c model.Config) Fingerprint {
 	return f.hs.fingerprint(&f.opts, c)
 }

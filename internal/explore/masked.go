@@ -30,7 +30,7 @@ import (
 // configurations. Canonical identity is the same fingerprint Reach uses,
 // mapped to the union of the masks inserted under it (seen). A pre-filter
 // keyed by the hash of the packed record itself (raw) screens transitions
-// before the canonical key is streamed: raw[rec] is only ever assigned
+// before the canonical key is built: raw[rec] is only ever assigned
 // seen's value for rec's canonical class, so raw[rec] ⊆ seen[canon(rec)]
 // holds throughout, and a transition whose mask lies inside raw[rec] lies
 // inside seen too — exactly the transitions the canonical check would
@@ -75,7 +75,7 @@ type MaskedResult struct {
 // before its moves, and the search stops as soon as none remain. A visit
 // error aborts the search and is returned as is.
 //
-// Of opts only MaxConfigs and the state identity (KeyTo) apply: the
+// Of opts only MaxConfigs and the state identity (AppendKey) apply: the
 // search is capped — Capped set, no error — once Count reaches MaxConfigs,
 // checked after every insertion and before every dequeue. ctx
 // cancellation returns an error wrapping ctx.Err(). The result is never
@@ -91,7 +91,7 @@ func ReachMasked(ctx context.Context, c model.Config, p []int, allowed []uint64,
 	maxConfigs := opts.maxConfigs()
 	codec := model.NewPackedCodec(c)
 	stride := codec.Words()
-	ws := newWorkerScratch()
+	ws := new(workerScratch)
 	ws.initPacked(codec)
 
 	res := &MaskedResult{}

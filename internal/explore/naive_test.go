@@ -7,7 +7,7 @@ import "repro/internal/model"
 // set of string keys. Its visit order is Reach's single-worker order. It
 // returns the key of every visited configuration in visit order and the
 // number of transitions examined; capped reports that opts.MaxConfigs
-// stopped it before the space was exhausted. Of opts only KeyTo and
+// stopped it before the space was exhausted. Of opts only AppendKey and
 // MaxConfigs apply.
 func naiveReach(c model.Config, p []int, opts Options) (keys []string, steps int, capped bool) {
 	seen := map[string]bool{}
@@ -37,19 +37,17 @@ func naiveReach(c model.Config, p []int, opts Options) (keys []string, steps int
 	return keys, steps, false
 }
 
-// keyOf returns c's state identity under opts as a string: opts.KeyTo
-// streamed into a model.KeyBuilder, or Config.Key when KeyTo is unset.
+// keyOf returns c's state identity under opts as a freshly allocated
+// string: opts.AppendKey's bytes, or Config.Key when AppendKey is unset.
 func keyOf(opts Options, c model.Config) string {
-	if opts.KeyTo == nil {
+	if opts.AppendKey == nil {
 		return c.Key()
 	}
-	var kb model.KeyBuilder
-	opts.KeyTo(&kb, c)
-	return kb.String()
+	return string(opts.AppendKey(nil, c))
 }
 
 // fingerprintOf digests an already-materialised key string: the reference
-// form of hasher.fingerprint, which streams the key instead
+// form of hasher.fingerprint, which appends the key into reused scratch
 // (TestStreamingKeysMatchStringKeys holds the two equal).
 func fingerprintOf(key string) Fingerprint {
 	return mix128([]byte(key))

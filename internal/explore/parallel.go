@@ -20,7 +20,7 @@ import (
 // (model.PackedStepper), so each surviving child is a fixed-width packed
 // record patched from its parent's — one state field, plus one value field
 // when the parent was write-poised — and the per-transition cost is a
-// memoised step, a raw-record pre-filter, a streamed fingerprint and at
+// memoised step, a raw-record pre-filter, a canonical fingerprint and at
 // most two dictionary lookups, with no per-child slice allocations. The
 // equivalence tests hold the engine to a naive Config-level BFS
 // (naive_test.go) and require identical results.
@@ -69,18 +69,14 @@ type chunk struct {
 }
 
 // workerScratch is the per-goroutine reusable state: the packed transition
-// engine with its memos and child buffers, and a streaming key hasher. The
+// engine with its memos and child buffers, and the key hasher. The
 // packed pieces are built lazily on the first chunk the goroutine expands.
 type workerScratch struct {
 	stepper    *model.PackedStepper
 	childWords []uint64
 	ustates    []model.State
 	uregs      []model.Value
-	*hasher
-}
-
-func newWorkerScratch() *workerScratch {
-	return &workerScratch{hasher: newHasher()}
+	hasher
 }
 
 func (ws *workerScratch) initPacked(codec *model.PackedCodec) {
@@ -101,7 +97,7 @@ type search struct {
 	maxConfigs int
 	visited    *fpSet
 	// rawSeen pre-filters packed transitions by the hash of the packed
-	// record itself, skipping the canonical key stream for transitions that
+	// record itself, skipping the canonical key for transitions that
 	// reproduce an already-seen record verbatim. It is a pure cache over
 	// instance-scoped dictionary ids: never persisted in checkpoints (a
 	// resumed search just rebuilds it) and never mixed with visited.
@@ -169,7 +165,7 @@ func (s *search) expandLevel(level []levelEntry) []chunk {
 // the per-worker stepper memo directly on the packed words, and a
 // raw-identity pre-filter (a hash of the packed record itself) screens out
 // transitions that rebuild an already-produced record before the canonical
-// key is ever streamed. Only raw-fresh children are unpacked and
+// key is ever built. Only raw-fresh children are unpacked and
 // fingerprinted canonically.
 //
 // The pre-filter is a pure shortcut: packed records are exact, so a
@@ -261,7 +257,7 @@ func (s *search) startWorkers(n int) {
 	for i := 0; i < n; i++ {
 		go func() {
 			defer s.wg.Done()
-			ws := newWorkerScratch()
+			ws := new(workerScratch)
 			for ch := range s.workCh {
 				s.expandRange(ch, ws)
 				s.levelWG.Done()

@@ -28,10 +28,6 @@ type equivalenceCase struct {
 	config model.Config
 	pids   []int
 	opts   Options
-	// strKey is the string form of the case's state identity, the
-	// reference TestStreamingKeysMatchStringKeys holds opts.KeyTo to; nil
-	// means Config.Key.
-	strKey func(model.Config) string
 	// capped marks cases whose space intentionally overflows MaxConfigs:
 	// Count must still be deterministic (the merge caps at exactly the
 	// same configuration for any worker count), but Steps may differ with
@@ -66,15 +62,13 @@ func equivalenceCases() []equivalenceCase {
 			name:   "diskrace3-pair",
 			config: model.NewConfig(disk, []model.Value{"0", "1", "1"}),
 			pids:   []int{0, 1},
-			opts:   Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 60000},
-			strKey: disk.CanonicalKey,
+			opts:   Options{AppendKey: disk.AppendCanonicalKey, MaxConfigs: 60000},
 		},
 		{
 			name:   "diskrace3-capped",
 			config: model.NewConfig(disk, []model.Value{"0", "1", "1"}),
 			pids:   []int{0, 1, 2},
-			opts:   Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 3000},
-			strKey: disk.CanonicalKey,
+			opts:   Options{AppendKey: disk.AppendCanonicalKey, MaxConfigs: 3000},
 			capped: true,
 		},
 	}
@@ -153,7 +147,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 func TestParallelSequentialEquivalenceDefaultThresholds(t *testing.T) {
 	disk := consensus.DiskRace{}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
-	opts := Options{KeyTo: disk.CanonicalKeyTo, MaxConfigs: 60000}
+	opts := Options{AppendKey: disk.AppendCanonicalKey, MaxConfigs: 60000}
 	counts := make(map[int]int)
 	for _, workers := range []int{1, 4} {
 		o := opts
@@ -170,23 +164,21 @@ func TestParallelSequentialEquivalenceDefaultThresholds(t *testing.T) {
 }
 
 // TestStreamingKeysMatchStringKeys pins the contract that lets the hot path
-// skip key materialisation: for every reachable configuration of every seed
-// protocol, hashing the streamed key must equal hashing the reference
-// string key.
+// reuse key scratch: for every reachable configuration of every seed
+// protocol, the hasher's fingerprint — the identity appended into a buffer
+// reused across configurations — must equal the digest of the identity
+// freshly materialised as a string. (The protocols' string reference keys
+// are held to their append forms in internal/consensus.)
 func TestStreamingKeysMatchStringKeys(t *testing.T) {
 	for _, tc := range equivalenceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
-			strKey := tc.strKey
-			if strKey == nil {
-				strKey = model.Config.Key
-			}
-			hs := newHasher()
+			var hs hasher
 			checked := 0
 			_, err := Reach(context.Background(), tc.config, tc.pids, opts, func(v Visit) bool {
-				key := strKey(v.Config)
+				key := keyOf(opts, v.Config)
 				if got, want := hs.fingerprint(&opts, v.Config), fingerprintOf(key); got != want {
-					t.Fatalf("config %d: streamed fingerprint %x != string fingerprint %x (key %q)",
+					t.Fatalf("config %d: scratch fingerprint %x != string fingerprint %x (key %q)",
 						v.ID, got, want, key)
 				}
 				checked++

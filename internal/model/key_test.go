@@ -2,11 +2,12 @@ package model
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 )
 
-// keyedState is a plain State whose Key goes through the string path of
-// Config.KeyTo.
+// keyedState is a plain State whose AppendKey is hand-rolled; refKey is its
+// string reference.
 type keyedState struct {
 	pid, left int
 }
@@ -20,75 +21,64 @@ func (s keyedState) Pending() Op {
 
 func (s keyedState) Next(Value) State { return keyedState{pid: s.pid, left: s.left - 1} }
 
-func (s keyedState) Key() string { return "k" + strconv.Itoa(s.pid) + "." + strconv.Itoa(s.left) }
-
-// streamedState additionally implements StateKeyWriter, exercising the
-// allocation-free path of Config.KeyTo.
-type streamedState struct{ keyedState }
-
-func (s streamedState) Next(v Value) State {
-	return streamedState{keyedState{pid: s.pid, left: s.left - 1}}
+func (s keyedState) AppendKey(dst []byte) []byte {
+	dst = append(dst, 'k')
+	dst = strconv.AppendInt(dst, int64(s.pid), 10)
+	dst = append(dst, '.')
+	return strconv.AppendInt(dst, int64(s.left), 10)
 }
 
-func (s streamedState) KeyTo(w KeyWriter) {
-	_ = w.WriteByte('k')
-	w.WriteInt(s.pid)
-	_ = w.WriteByte('.')
-	w.WriteInt(s.left)
-}
+func (s keyedState) refKey() string { return "k" + strconv.Itoa(s.pid) + "." + strconv.Itoa(s.left) }
 
-type keyMachine struct{ streamed bool }
+type keyMachine struct{}
 
 func (keyMachine) Name() string        { return "keytest" }
 func (keyMachine) Registers(n int) int { return n }
-func (m keyMachine) Init(n, pid int, input Value) State {
+func (keyMachine) Init(n, pid int, input Value) State {
 	budget, _ := strconv.Atoi(string(input))
-	if m.streamed {
-		return streamedState{keyedState{pid: pid, left: budget}}
-	}
 	return keyedState{pid: pid, left: budget}
 }
 
-// TestKeyToMatchesKey holds Config.KeyTo to its contract: the streamed
-// bytes equal the reference Key() string on every configuration along an
-// execution, for states with and without the StateKeyWriter fast path.
-func TestKeyToMatchesKey(t *testing.T) {
-	for _, streamed := range []bool{false, true} {
-		c := NewConfig(keyMachine{streamed: streamed}, []Value{"2", "3"})
-		var kb KeyBuilder
-		for i := 0; i < 6; i++ {
-			kb.Reset()
-			c.KeyTo(&kb)
-			if got, want := kb.String(), c.Key(); got != want {
-				t.Fatalf("streamed=%t step %d: KeyTo wrote %q, Key returns %q", streamed, i, got, want)
-			}
-			pid := i % 2
-			if _, done := c.Decided(pid); !done {
-				c = c.StepDet(pid)
-			}
-		}
+// configKeyRef is the reference configuration encoding, built field by
+// field from the states' string keys: each state key and each register
+// value terminated by keySepField, the two sections divided by
+// keySepSection.
+func configKeyRef(c Config) string {
+	var b strings.Builder
+	for _, s := range c.states {
+		b.WriteString(s.(keyedState).refKey())
+		b.WriteByte(keySepField)
 	}
+	b.WriteByte(keySepSection)
+	for _, v := range c.regs {
+		b.WriteString(string(v))
+		b.WriteByte(keySepField)
+	}
+	return b.String()
 }
 
-// TestKeyBuilderWriters covers each KeyWriter method and Reset reuse.
-func TestKeyBuilderWriters(t *testing.T) {
-	var kb KeyBuilder
-	_, _ = kb.Write([]byte("ab"))
-	_ = kb.WriteByte('c')
-	_, _ = kb.WriteString("de")
-	kb.WriteInt(-42)
-	if got := kb.String(); got != "abcde-42" {
-		t.Fatalf("built %q, want %q", got, "abcde-42")
-	}
-	if kb.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", kb.Len())
-	}
-	kb.Reset()
-	if kb.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", kb.Len())
-	}
-	kb.WriteInt(7)
-	if got := string(kb.Bytes()); got != "7" {
-		t.Fatalf("after reset built %q, want %q", got, "7")
+// TestKeyToMatchesKey holds Config.AppendKey to its contract: appended into
+// reused scratch, and after an existing prefix, the bytes equal the
+// reference encoding on every configuration along an execution, and
+// Config.Key is the same bytes as a string.
+func TestKeyToMatchesKey(t *testing.T) {
+	c := NewConfig(keyMachine{}, []Value{"2", "3"})
+	var buf []byte
+	for i := 0; i < 6; i++ {
+		want := configKeyRef(c)
+		buf = c.AppendKey(buf[:0])
+		if string(buf) != want {
+			t.Fatalf("step %d: AppendKey wrote %q, reference is %q", i, buf, want)
+		}
+		if got := c.Key(); got != want {
+			t.Fatalf("step %d: Key returns %q, reference is %q", i, got, want)
+		}
+		if got := string(c.AppendKey([]byte("pre"))); got != "pre"+want {
+			t.Fatalf("step %d: AppendKey after a prefix wrote %q", i, got)
+		}
+		pid := i % 2
+		if _, done := c.Decided(pid); !done {
+			c = c.StepDet(pid)
+		}
 	}
 }

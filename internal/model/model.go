@@ -18,7 +18,6 @@ package model
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Value is the contents of a register. The paper's lower bound holds even
@@ -104,9 +103,10 @@ func (o Op) String() string {
 }
 
 // State is the immutable local state of a single process. Implementations
-// must be pure values: Next must not mutate the receiver, and two states with
-// equal Key() must behave identically forever. This is what lets the
-// exploration machinery hash, memoise and replay configurations.
+// must be pure values: Next must not mutate the receiver, and two states
+// whose AppendKey bytes are equal must behave identically forever. This is
+// what lets the exploration machinery hash, memoise and replay
+// configurations.
 type State interface {
 	// Pending returns the operation the process is poised to perform.
 	// For a decided process this is an OpDecide and never changes.
@@ -119,10 +119,12 @@ type State interface {
 	// called on a decided state.
 	Next(in Value) State
 
-	// Key returns a canonical encoding of the state. Two states are
-	// treated as identical iff their keys are equal; keys feed the
-	// configuration hash used for indistinguishability and memoisation.
-	Key() string
+	// AppendKey appends the state's identity bytes to dst and returns the
+	// extended slice. Two states are treated as identical iff they append
+	// equal bytes; the bytes feed the configuration fingerprint used for
+	// deduplication and memoisation and the packed codec's dictionary, so
+	// they must depend on nothing but the state's behaviour.
+	AppendKey(dst []byte) []byte
 }
 
 // Machine is a protocol: it tells the framework how many registers it uses
@@ -251,24 +253,8 @@ func (c Config) CoverSet(r []int) (map[int]bool, bool) {
 	return covered, true
 }
 
-// Key returns a canonical encoding of the configuration: the keys of all
-// process states plus all register contents. Two configurations with equal
-// keys are identical (indistinguishable to every process). It is the
-// reference form of KeyTo, which streams the same bytes without
-// materialising the string; TestKeyToMatchesKey holds the two together.
-func (c Config) Key() string {
-	var b strings.Builder
-	for _, s := range c.states {
-		b.WriteString(s.Key())
-		b.WriteByte(keySepField)
-	}
-	b.WriteByte(keySepSection)
-	for _, v := range c.regs {
-		b.WriteString(string(v))
-		b.WriteByte(keySepField)
-	}
-	return b.String()
-}
+// Key returns the configuration's identity bytes (AppendKey) as a string.
+func (c Config) Key() string { return string(c.AppendKey(nil)) }
 
 // IndistinguishableTo reports whether configurations c and d are
 // indistinguishable to every process in p: each process in p is in the same
@@ -283,8 +269,11 @@ func (c Config) IndistinguishableTo(d Config, p []int) bool {
 			return false
 		}
 	}
+	var a, b []byte
 	for _, pid := range p {
-		if c.states[pid].Key() != d.states[pid].Key() {
+		a = c.states[pid].AppendKey(a[:0])
+		b = d.states[pid].AppendKey(b[:0])
+		if string(a) != string(b) {
 			return false
 		}
 	}
@@ -331,7 +320,7 @@ func (c Config) Step(pid int, coin Value) Config {
 // StepDet applies one deterministic step of process pid. It must not be used
 // when pid is poised on a coin flip; use Step with an explicit outcome there.
 func (c Config) StepDet(pid int) Config {
-	if c.states[pid].Pending().Kind == OpCoin {
+	if kind, _ := PeekOp(c.states[pid]); kind == OpCoin {
 		panic("model: StepDet on a coin-flip step; outcome required")
 	}
 	return c.Step(pid, Bottom)

@@ -47,8 +47,8 @@ func (s toyState) Next(in Value) State {
 	return next
 }
 
-func (s toyState) Key() string {
-	return "t" + string(rune('0'+s.pid)) + string(rune('0'+s.stage)) + "|" + string(s.input) + "|" + string(s.got)
+func (s toyState) AppendKey(dst []byte) []byte {
+	return append(dst, "t"+string(rune('0'+s.pid))+string(rune('0'+s.stage))+"|"+string(s.input)+"|"+string(s.got)...)
 }
 
 func toyConfig() Config {
@@ -226,4 +226,57 @@ func TestRebuildConfigDimensionCheck(t *testing.T) {
 	}()
 	c := toyConfig()
 	RebuildConfig(c, make([]State, 2), make([]Value, 3))
+}
+
+// countingState writes its budget down to zero and counts every Pending
+// call through a shared counter. Like the protocol states, it answers
+// PeekOp without building the Op.
+type countingState struct {
+	calls *int
+	left  int
+}
+
+func (s countingState) Pending() Op {
+	*s.calls++
+	if s.left == 0 {
+		return Op{Kind: OpDecide, Arg: "d"}
+	}
+	return Op{Kind: OpWrite, Reg: 0, Arg: Value(string(rune('0' + s.left)))}
+}
+
+func (s countingState) PeekOp() (OpKind, int) {
+	if s.left == 0 {
+		return OpDecide, 0
+	}
+	return OpWrite, 0
+}
+
+func (s countingState) Next(Value) State { return countingState{calls: s.calls, left: s.left - 1} }
+
+func (s countingState) AppendKey(dst []byte) []byte { return append(dst, byte('0'+s.left)) }
+
+// TestStepDetPendingOncePerMove: a deterministic move builds its pending
+// Op exactly once. Pending is the expensive half of a write-poised state
+// (DiskRace encodes the register block into a fresh string), so a guard
+// that re-derived it would double that cost on every replayed move.
+func TestStepDetPendingOncePerMove(t *testing.T) {
+	calls := 0
+	c := Config{states: []State{countingState{calls: &calls, left: 5}}, regs: []Value{Bottom}}
+	for _, tc := range []struct {
+		name  string
+		moves int
+		run   func() Config
+	}{
+		{"StepDet", 1, func() Config { return c.StepDet(0) }},
+		{"ApplyMove", 1, func() Config { return ApplyMove(c, Move{Pid: 0}) }},
+		{"RunPath", 3, func() Config { return RunPath(c, MovesOf(Schedule{0, 0, 0})) }},
+	} {
+		calls = 0
+		if got := tc.run(); got.Register(0) == Bottom {
+			t.Fatalf("%s: no write took effect", tc.name)
+		}
+		if calls != tc.moves {
+			t.Fatalf("%s: %d Pending calls for %d moves, want one per move", tc.name, calls, tc.moves)
+		}
+	}
 }

@@ -15,16 +15,18 @@ import (
 // []uint64 of fixed-width dictionary indices: one state field per process,
 // one value field per register. Packing is dictionary-building (the codec
 // grows as exploration discovers states); unpacking is two array reads per
-// field. Because states are interned by their exact State.Key bytes, the
-// round trip Unpack(Pack(c)) yields a configuration whose canonical key is
-// byte-identical to c's — TestPackedCodecRoundTripsCanonicalKey holds that
-// contract for every protocol in the test zoo.
+// field. Because states are interned by their exact State.AppendKey bytes,
+// the round trip Unpack(Pack(c)) yields a configuration whose identity
+// bytes equal c's — TestPackedCodecRoundTripsKey holds that contract, and
+// consensus.TestPackedCodecConcurrentIntern holds it for DiskRace states
+// interned from several goroutines at once.
 //
 // Dictionary indices are assigned in discovery order, so packed words are
 // meaningful only relative to the codec instance that produced them: they
 // are an in-memory (and same-process spill-file) representation, never a
 // durable one. Durable identities — checkpoint fingerprints, memo keys —
-// remain hashes of canonical key bytes.
+// remain hashes of the appended identity bytes (Config.AppendKey or a
+// protocol canonicaliser).
 
 var (
 	// ErrPackedCapacity reports an intern dictionary that outgrew its
@@ -186,7 +188,6 @@ type PackedCodec struct {
 
 	states *internTable[State]
 	vals   *internTable[Value]
-	kbPool sync.Pool
 }
 
 // NewPackedCodec computes the packed layout for configurations shaped like
@@ -210,7 +211,6 @@ func NewPackedCodecWidths(template Config, stateBits, regBits int) *PackedCodec 
 		vals:      newInternTable[Value](regBits),
 	}
 	pc.words = (pc.totalBits() + 63) / 64
-	pc.kbPool.New = func() any { return &KeyBuilder{} }
 	return pc
 }
 
@@ -285,21 +285,15 @@ func setField(words []uint64, off, bits int, val uint64) {
 }
 
 // InternState returns the dictionary index of s, interning it by its exact
-// key bytes on first sight. kb is reusable scratch for streaming the key
-// (nil takes one from an internal pool); the exploration workers pass
-// their own to keep the hot path allocation-free.
-func (pc *PackedCodec) InternState(kb *KeyBuilder, s State) (uint32, error) {
-	if kb == nil {
-		kb = pc.kbPool.Get().(*KeyBuilder)
-		defer pc.kbPool.Put(kb)
-	}
-	kb.Reset()
-	if sw, ok := s.(StateKeyWriter); ok {
-		sw.KeyTo(kb)
-	} else {
-		_, _ = kb.WriteString(s.Key())
-	}
-	return pc.states.internBytes(kb.Bytes(), s)
+// AppendKey bytes on first sight. buf is the caller's key scratch: the key
+// is appended to buf[:0], and the grown slice is returned for the next
+// call, so a caller that threads it through (each exploration worker's
+// stepper does) interns without allocating. Safe for concurrent use as long
+// as no two goroutines share one buf.
+func (pc *PackedCodec) InternState(buf []byte, s State) (uint32, []byte, error) {
+	buf = s.AppendKey(buf[:0])
+	id, err := pc.states.internBytes(buf, s)
+	return id, buf, err
 }
 
 // InternValue returns the dictionary index of v.
@@ -333,11 +327,11 @@ func (pc *PackedCodec) PackTo(dst []uint64, c Config) error {
 	for i := range dst {
 		dst[i] = 0
 	}
-	kb := pc.kbPool.Get().(*KeyBuilder)
-	defer pc.kbPool.Put(kb)
+	var buf []byte
 	for pid, s := range c.states {
-		id, err := pc.InternState(kb, s)
-		if err != nil {
+		var id uint32
+		var err error
+		if id, buf, err = pc.InternState(buf, s); err != nil {
 			return err
 		}
 		setField(dst, pc.stateOff(pid), pc.stateBits, uint64(id))

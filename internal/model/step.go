@@ -1,16 +1,10 @@
 package model
 
-import "fmt"
-
-// The allocation-lean stepping machinery behind the exploration hot path.
-//
-// Config.Step allocates a fresh states slice (and, for writes, a regs
-// slice) per transition — the right contract for callers that keep the
-// result, but the search examines several children per configuration and
-// immediately discards the duplicates. StepInto writes the successor into
-// caller-owned scratch instead; the few children that survive
-// deduplication are detached into a ConfigSlab arena. Together they take
-// the engine's per-transition slice allocations to zero.
+// Allocation-lean helpers for the exploration hot path. PeekOp inspects a
+// pending operation without building its argument; ConfigSlab detaches the
+// few configurations that survive deduplication from the engine's reused
+// unpack buffers (PackedCodec.UnpackInto) into one arena, so keeping a
+// survivor costs no per-configuration slice allocation.
 
 // OpPeeker is an optional extension of State: PeekOp returns the pending
 // operation's kind and register without building the full Op. Pending's
@@ -31,55 +25,6 @@ func PeekOp(s State) (OpKind, int) {
 	}
 	op := s.Pending()
 	return op.Kind, op.Reg
-}
-
-// StepScratch holds the reusable successor buffers for StepInto. The zero
-// value is ready; one scratch serves one goroutine.
-type StepScratch struct {
-	states []State
-	regs   []Value
-}
-
-// StepInto is Config.Step with the successor's slices carved from sc
-// instead of freshly allocated. The returned Config aliases sc and is
-// invalidated by the next StepInto on the same scratch: callers keep a
-// survivor with ConfigSlab.Clone (or rebuild it) before stepping again. c
-// itself must not alias sc (step from stable storage, not from a previous
-// StepInto result on the same scratch).
-func (c Config) StepInto(sc *StepScratch, pid int, coin Value) Config {
-	st := c.states[pid]
-	op := st.Pending()
-	if op.Kind == OpDecide {
-		return c
-	}
-	if cap(sc.states) < len(c.states) {
-		sc.states = make([]State, len(c.states))
-	}
-	states := sc.states[:len(c.states)]
-	copy(states, c.states)
-	regs := c.regs
-	switch op.Kind {
-	case OpRead:
-		states[pid] = st.Next(c.regs[op.Reg])
-	case OpCoin:
-		states[pid] = st.Next(coin)
-	case OpWrite, OpSwap:
-		if op.Kind == OpSwap {
-			states[pid] = st.Next(c.regs[op.Reg])
-		} else {
-			states[pid] = st.Next(Bottom)
-		}
-		if cap(sc.regs) < len(c.regs) {
-			sc.regs = make([]Value, len(c.regs))
-		}
-		scratchRegs := sc.regs[:len(c.regs)]
-		copy(scratchRegs, c.regs)
-		scratchRegs[op.Reg] = op.Arg
-		regs = scratchRegs
-	default:
-		panic(fmt.Sprintf("model: process %d poised on invalid op %v", pid, op))
-	}
-	return Config{states: states, regs: regs}
 }
 
 // Clone returns a deep copy of c with freshly allocated slices. Exploration

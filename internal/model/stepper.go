@@ -6,8 +6,8 @@ package model
 // string encoding — more than once per behaviourally distinct transition.
 //
 // Soundness rests on the State contract: states are pure values and two
-// states with equal Key behave identically forever. Dictionary ids are
-// assigned per key, so (state id, operation input) determines the
+// states with equal AppendKey bytes behave identically forever. Dictionary
+// ids are assigned per key, so (state id, operation input) determines the
 // successor state id and any written value id exactly; the memo is a pure
 // cache and can never change results, only skip recomputation.
 //
@@ -37,7 +37,7 @@ type packedSucc struct {
 // PackedStepper is the per-worker transition engine over one PackedCodec.
 type PackedStepper struct {
 	pc   *PackedCodec
-	kb   KeyBuilder
+	key  []byte // InternState scratch
 	ops  []packedOp
 	succ map[uint64]packedSucc
 	// hits/misses count memo lookups in StepPacked. Plain ints: a stepper
@@ -121,45 +121,26 @@ func (ps *PackedStepper) resolve(sid uint32, kind OpKind, reg int, key uint64, c
 	if !ok {
 		panic("model: stepper resolve on uninterned state id")
 	}
-	var succ packedSucc
+	var in Value // OpWrite's input: writes return only an acknowledgement
 	switch kind {
 	case OpRead, OpSwap:
 		vid := uint32(key) // low 32 bits of the memo key are the input id
-		in, ok := pc.vals.at(vid)
-		if !ok {
+		if in, ok = pc.vals.at(vid); !ok {
 			panic("model: stepper resolve on uninterned value id")
 		}
-		next := s.Next(in)
-		id, err := pc.InternState(&ps.kb, next)
-		if err != nil {
-			return packedSucc{}, err
-		}
-		succ.sid = id
-		if kind == OpSwap {
-			wvid, err := pc.InternValue(s.Pending().Arg)
-			if err != nil {
-				return packedSucc{}, err
-			}
-			succ.wvid, succ.writesTo = wvid, true
-		}
-	case OpWrite:
-		next := s.Next(Bottom)
-		id, err := pc.InternState(&ps.kb, next)
-		if err != nil {
-			return packedSucc{}, err
-		}
-		wvid, err := pc.InternValue(s.Pending().Arg)
-		if err != nil {
-			return packedSucc{}, err
-		}
-		succ = packedSucc{sid: id, wvid: wvid, writesTo: true}
 	case OpCoin:
-		next := s.Next(coin)
-		id, err := pc.InternState(&ps.kb, next)
-		if err != nil {
+		in = coin
+	}
+	var succ packedSucc
+	var err error
+	if succ.sid, ps.key, err = pc.InternState(ps.key, s.Next(in)); err != nil {
+		return packedSucc{}, err
+	}
+	if kind == OpWrite || kind == OpSwap {
+		if succ.wvid, err = pc.InternValue(s.Pending().Arg); err != nil {
 			return packedSucc{}, err
 		}
-		succ.sid = id
+		succ.writesTo = true
 	}
 	ps.succ[key] = succ
 	return succ, nil

@@ -49,9 +49,9 @@ func (s mixState) Next(in Value) State {
 	return next
 }
 
-func (s mixState) Key() string {
-	return "m" + string(rune('0'+s.pid)) + string(rune('0'+s.stage)) +
-		"|" + string(s.input) + "|" + string(s.coin) + "|" + string(s.got)
+func (s mixState) AppendKey(dst []byte) []byte {
+	return append(dst, "m"+string(rune('0'+s.pid))+string(rune('0'+s.stage))+
+		"|"+string(s.input)+"|"+string(s.coin)+"|"+string(s.got)...)
 }
 
 func mixConfig() Config {
@@ -144,51 +144,44 @@ func TestStepPackedMatchesStep(t *testing.T) {
 	}
 }
 
-// TestStepIntoMatchesStep holds the scratch-backed step to the allocating
-// reference on the full mix space.
-func TestStepIntoMatchesStep(t *testing.T) {
-	var sc StepScratch
-	walkMix(t, mixConfig(), func(c Config) {
-		for pid := 0; pid < c.NumProcesses(); pid++ {
-			kind, _ := PeekOp(c.State(pid))
-			if kind == OpDecide {
-				continue
-			}
-			outcomes := []Value{Bottom}
-			if kind == OpCoin {
-				outcomes = []Value{"0", "1"}
-			}
-			for _, coin := range outcomes {
-				got := c.StepInto(&sc, pid, coin)
-				if want := c.Step(pid, coin); got.Key() != want.Key() {
-					t.Fatalf("p%d coin=%q: StepInto key %q, Step key %q",
-						pid, string(coin), got.Key(), want.Key())
-				}
-			}
-		}
-	})
-}
-
 // TestConfigSlabCloneSurvivesScratchReuse: a slab clone must stay intact
-// when the scratch it was cloned from is overwritten by later steps and
-// when the slab grows.
+// when the unpack buffers it was cloned from are overwritten by later
+// decodes (the exploration workers reuse one pair per batch) and when the
+// slab grows.
 func TestConfigSlabCloneSurvivesScratchReuse(t *testing.T) {
-	var sc StepScratch
-	var slab ConfigSlab
 	c := mixConfig()
-	first := c.StepInto(&sc, 0, "1")
-	kept := slab.Clone(first)
-	wantKey := first.Key()
-	// Overwrite the scratch and grow the slab past its initial capacity.
+	pc := NewPackedCodec(c)
+	first, err := pc.Pack(c.Step(0, "1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := pc.Pack(c.Step(1, "0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := make([]State, pc.NumProcesses())
+	regs := make([]Value, pc.NumRegisters())
+	unpack := func(words []uint64) Config {
+		t.Helper()
+		cfg, err := pc.UnpackInto(words, states, regs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	var slab ConfigSlab
+	kept := slab.Clone(unpack(first))
+	wantKey := c.Step(0, "1").Key()
+	// Overwrite the backing slices and grow the slab past its initial
+	// capacity.
 	for i := 0; i < 100; i++ {
-		next := c.StepInto(&sc, 1, "0")
-		slab.Clone(next)
+		slab.Clone(unpack(other))
 	}
 	if kept.Key() != wantKey {
 		t.Fatalf("slab clone corrupted: key %q, want %q", kept.Key(), wantKey)
 	}
 	slab.Reset()
-	again := slab.Clone(c.StepInto(&sc, 0, "1"))
+	again := slab.Clone(unpack(first))
 	if again.Key() != wantKey {
 		t.Fatalf("post-Reset clone key %q, want %q", again.Key(), wantKey)
 	}

@@ -3,7 +3,6 @@ package perturb
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/model"
 )
@@ -111,11 +110,8 @@ func (s collectState) Next(in model.Value) model.State {
 	}
 }
 
-// Key implements model.State.
-func (s collectState) Key() string {
-	return strings.Join([]string{
-		"V", strconv.Itoa(s.pid), strconv.Itoa(s.remaining),
-		strconv.Itoa(int(s.phase)), strconv.Itoa(s.seq),
-		strconv.Itoa(s.idx), s.got, s.last,
-	}, "|")
+// AppendKey implements model.State.
+func (s collectState) AppendKey(dst []byte) []byte {
+	return fmt.Appendf(dst, "V|%d|%d|%d|%d|%d|%s|%s",
+		s.pid, s.remaining, s.phase, s.seq, s.idx, s.got, s.last)
 }

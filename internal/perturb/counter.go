@@ -129,8 +129,8 @@ func (s counterState) Next(in model.Value) model.State {
 	}
 }
 
-// Key implements model.State.
-func (s counterState) Key() string {
-	return fmt.Sprintf("C%d|%d|%d|%d|%d|%d|%d|%d",
+// AppendKey implements model.State.
+func (s counterState) AppendKey(dst []byte) []byte {
+	return fmt.Appendf(dst, "C%d|%d|%d|%d|%d|%d|%d|%d",
 		s.n, s.pid, s.remaining, s.phase, s.idx, s.sum, s.own, s.last)
 }

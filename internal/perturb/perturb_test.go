@@ -97,8 +97,8 @@ func (s constState) Next(model.Value) model.State {
 	return constState{pid: s.pid, wrote: true}
 }
 
-func (s constState) Key() string {
-	return "K" + string(rune('0'+s.pid)) + map[bool]string{true: "w", false: "-"}[s.wrote]
+func (s constState) AppendKey(dst []byte) []byte {
+	return append(dst, "K"+string(rune('0'+s.pid))+map[bool]string{true: "w", false: "-"}[s.wrote]...)
 }
 
 // TestPerturbationSWCollect runs the same adversary against the second

@@ -65,11 +65,12 @@ func (o *Oracle) Profile(ctx context.Context, name string, c model.Config, p []i
 		fp  explore.Fingerprint
 	}
 	statsBefore := o.stats
+	fpr := o.opts.NewFingerprinter()
 	var kept []entry
 	res, err := explore.Reach(ctx, c, p, o.opts, func(v explore.Visit) bool {
 		// Clone: v.Config is arena-backed and only valid during the
 		// callback; the profile keeps the whole space for pass 2.
-		kept = append(kept, entry{cfg: v.Config.Clone(), fp: o.opts.Fingerprint(v.Config)})
+		kept = append(kept, entry{cfg: v.Config.Clone(), fp: fpr.Fingerprint(v.Config)})
 		return true
 	})
 	if err != nil {
@@ -117,7 +118,7 @@ func (o *Oracle) Profile(ctx context.Context, name string, c model.Config, p []i
 		}
 		for _, mv := range explore.Moves(e.cfg, p) {
 			succCfg := model.ApplyMove(e.cfg, mv)
-			succ, found := verdicts[o.opts.Fingerprint(succCfg)]
+			succ, found := verdicts[fpr.Fingerprint(succCfg)]
 			if !found {
 				if !res.Capped {
 					return report, fmt.Errorf(
