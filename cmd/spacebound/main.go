@@ -67,7 +67,9 @@
 // Every completed witness is re-verified by an independent replay
 // (check.VerifyWitness) before the program exits 0.
 //
-// Exit codes: 0 on a complete, verified witness, 3 when a -timeout or
+// Exit codes: 0 on a complete, verified witness, 2 on a bad command line
+// (including a -protocol and -n that do not go together, such as coinflood
+// with n other than 2), 3 when a -timeout or
 // -max-configs budget interrupted the construction (the partial progress is
 // printed to stderr; with -server, also when the client's wait timed out),
 // 4 if the finished witness fails independent verification (with -server:
@@ -101,6 +103,11 @@ import (
 // replay audit; main maps it to exit code 4.
 var errVerifyFailed = errors.New("witness failed independent verification")
 
+// errUsage tags a command line that names a run that cannot exist — an
+// unknown protocol, or a process count the protocol does not admit; main
+// maps it to exit code 2, the flag package's code for a bad command line.
+var errUsage = errors.New("bad command line")
+
 // errInterrupted tags a remote wait stopped by the client's own budget;
 // main maps it to exit code 3, like a local budget interruption.
 var errInterrupted = errors.New("interrupted while waiting for the server")
@@ -115,6 +122,8 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "spacebound:", err)
 		switch {
+		case errors.Is(err, errUsage):
+			os.Exit(2)
 		case errors.Is(err, errInterrupted):
 			os.Exit(3)
 		case errors.Is(err, errVerifyFailed):
@@ -157,6 +166,13 @@ func run() error {
 	flag.StringVar(&df.journalFault, "dist-journal-fault", "", "filesystem fault against journal writes: enospc@bytes=N, shortwrite@write=K or syncfail")
 	flag.StringVar(&df.chaos, "chaos", "", "execute a chaos schedule (see internal/faults.ParseChaosSchedule) against a journalled coordinator and scripted workers")
 	flag.Parse()
+
+	// A shard worker takes its protocol and n from the coordinator's spec.
+	if df.shard == "" {
+		if err := core.CheckProcesses(*protocol, *n); err != nil {
+			return fmt.Errorf("%w: %w", errUsage, err)
+		}
+	}
 
 	if df.coordinator != "" || df.shard != "" || df.sequential || df.chaos != "" {
 		ctx := context.Background()

@@ -189,3 +189,32 @@ func TestServerSubmitMode(t *testing.T) {
 		t.Fatalf("remote witness artifact: %v", err)
 	}
 }
+
+// TestBadProcessCountIsUsageError: coinflood admits only n=2. Asking for
+// n=3 — as an adversary run, a sequential reference or a coordinator —
+// must exit with the usage code 2 and an error naming the protocol, never
+// a panic out of the protocol's Init.
+func TestBadProcessCountIsUsageError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binary")
+	}
+	bin := buildBinary(t, t.TempDir())
+	for _, mode := range [][]string{
+		nil,
+		{"-dist-sequential"},
+		{"-coordinator", "127.0.0.1:0"},
+	} {
+		args := append(append([]string{}, mode...), "-protocol", "coinflood", "-n", "3")
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		code := -1
+		if cmd.ProcessState != nil {
+			code = cmd.ProcessState.ExitCode()
+		}
+		if code != 2 || strings.Contains(stderr.String(), "panic") || !strings.Contains(stderr.String(), "coinflood") {
+			t.Fatalf("spacebound %v: exit %d (%v), want 2 with a coinflood error\nstderr:\n%s", args, code, err, &stderr)
+		}
+	}
+}

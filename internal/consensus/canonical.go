@@ -53,12 +53,16 @@ func (DiskRace) AppendCanonicalKey(dst []byte, c model.Config) []byte {
 			return c.AppendKey(dst)
 		}
 		sc.states = append(sc.states, s)
-		sc.rounds = append(sc.rounds, s.ballot.K, s.ownBal.K, s.maxK, s.maxBal.K)
+		sc.rounds = insertRound(sc.rounds, s.ballot.K)
+		sc.rounds = insertRound(sc.rounds, s.ownBal.K)
+		sc.rounds = insertRound(sc.rounds, s.maxK)
+		sc.rounds = insertRound(sc.rounds, s.maxBal.K)
 	}
 	for r := 0; r < c.NumRegisters(); r++ {
 		block := sc.decode(c.Register(r))
 		sc.blocks = append(sc.blocks, block)
-		sc.rounds = append(sc.rounds, block.Mbal.K, block.Bal.K)
+		sc.rounds = insertRound(sc.rounds, block.Mbal.K)
+		sc.rounds = insertRound(sc.rounds, block.Bal.K)
 	}
 	remap := buildRoundRemapInto(sc.rounds, sc.to)
 	sc.to = remap.to
@@ -134,29 +138,33 @@ func (m roundRemap) ballot(b Ballot) Ballot {
 	return Ballot{K: m.apply(b.K), Pid: b.Pid}
 }
 
-// buildRoundRemapInto computes the renumbering for the given (unsorted,
-// duplicate-bearing) list of rounds, appending the renumbered rounds into
-// to's backing array (the hot path reuses it across calls). rounds is
-// sorted and deduplicated in place.
-func buildRoundRemapInto(rounds, to []int) roundRemap {
-	// rounds is 6n small ints; insertion sort in place skips the generic
-	// sort's dispatch overhead on the canonicalisation hot path.
-	for i := 1; i < len(rounds); i++ {
-		for j := i; j > 0 && rounds[j] < rounds[j-1]; j-- {
-			rounds[j], rounds[j-1] = rounds[j-1], rounds[j]
-		}
+// insertRound adds round k to rounds, a sorted list of distinct positive
+// rounds, and returns the extended list. Round 0 (the null ballot) is
+// never renumbered and is skipped. A configuration carries only a handful
+// of distinct rounds among its 6n occurrences, so keeping the list sorted
+// as it is collected costs a short scan per occurrence and no sort.
+func insertRound(rounds []int, k int) []int {
+	if k == 0 {
+		return rounds
 	}
-	from := rounds[:0]
-	prev := -1
-	for _, k := range rounds {
-		if k != prev {
-			from = append(from, k)
-			prev = k
-		}
+	i := len(rounds)
+	for i > 0 && rounds[i-1] > k {
+		i--
 	}
-	if len(from) > 0 && from[0] == 0 {
-		from = from[1:]
+	if i > 0 && rounds[i-1] == k {
+		return rounds
 	}
+	rounds = append(rounds, 0)
+	copy(rounds[i+1:], rounds[i:])
+	rounds[i] = k
+	return rounds
+}
+
+// buildRoundRemapInto computes the renumbering of from, a sorted list of
+// distinct positive rounds (insertRound builds it), appending the
+// renumbered rounds into to's backing array (the hot path reuses it across
+// calls).
+func buildRoundRemapInto(from, to []int) roundRemap {
 	to = to[:0]
 	prevK, mapped := 0, 0
 	for _, k := range from {

@@ -3,6 +3,8 @@ package consensus
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,10 +82,30 @@ func (DiskRace) CanonicalKey(c model.Config) string {
 	return b.String()
 }
 
-// buildRoundRemap computes the renumbering for the given (unsorted,
-// duplicate-bearing) list of rounds into fresh storage.
+// buildRoundRemap is the reference form of the sort-free remap the hot
+// path builds with insertRound and buildRoundRemapInto: sort a copy of the
+// (unsorted, duplicate-bearing) rounds, drop duplicates and round 0, then
+// renumber with the smallest positive round anchored at 1 and every gap
+// capped at 2.
 func buildRoundRemap(rounds []int) roundRemap {
-	return buildRoundRemapInto(rounds, nil)
+	sorted := slices.Clone(rounds)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	if len(sorted) > 0 && sorted[0] == 0 {
+		sorted = sorted[1:]
+	}
+	m := roundRemap{from: sorted}
+	prev, mapped := 0, 0
+	for _, k := range sorted {
+		if prev == 0 {
+			mapped = 1
+		} else {
+			mapped += min(k-prev, 2)
+		}
+		m.to = append(m.to, mapped)
+		prev = k
+	}
+	return m
 }
 
 // writeCanonicalKey is the reference form of diskState.appendCanonicalKey.
@@ -142,6 +164,34 @@ func (s floodState) refKey() string {
 // canonicaliser to its string reference byte for byte across reachable
 // configurations, appending into one reused buffer: this equality is what
 // makes the exploration engine's fingerprint dedup sound when it hashes via
+// TestSortFreeRoundRemap holds the hot path's remap — rounds inserted one
+// by one into a sorted distinct list, then renumbered — to the sort-based
+// reference on random round lists with zeros, duplicates and wide gaps,
+// reusing the hot path's buffers across cases as AppendCanonicalKey does.
+func TestSortFreeRoundRemap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var rounds, to []int
+	for trial := 0; trial < 2000; trial++ {
+		in := make([]int, rng.Intn(25))
+		for i := range in {
+			in[i] = rng.Intn(12)
+			if rng.Intn(8) == 0 {
+				in[i] = rng.Intn(1 << 20)
+			}
+		}
+		rounds = rounds[:0]
+		for _, k := range in {
+			rounds = insertRound(rounds, k)
+		}
+		got := buildRoundRemapInto(rounds, to)
+		to = got.to
+		want := buildRoundRemap(in)
+		if !slices.Equal(got.from, want.from) || !slices.Equal(got.to, want.to) {
+			t.Fatalf("rounds %v: remap %v -> %v, want %v -> %v", in, got.from, got.to, want.from, want.to)
+		}
+	}
+}
+
 // AppendCanonicalKey.
 func TestCanonicalKeyToMatchesCanonicalKey(t *testing.T) {
 	for _, n := range []int{2, 3} {

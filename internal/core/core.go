@@ -62,6 +62,25 @@ func Machine(name string) (model.Machine, explore.Options, error) {
 	}
 }
 
+// CheckProcesses reports whether the named protocol can run with n
+// processes: the name must resolve through Machine, n must be at least 2,
+// and CoinFlood, built for exactly two processes, admits only n=2. Every
+// front door that takes a (protocol, n) pair from outside — provesrv's job
+// admission, dist.NewRun, spacebound's flags — calls it, so a bad pair is
+// refused as an error before a protocol's Init can panic on it.
+func CheckProcesses(protocol string, n int) error {
+	if _, _, err := Machine(protocol); err != nil {
+		return err
+	}
+	if n < 2 {
+		return fmt.Errorf("core: n=%d, need at least 2 processes", n)
+	}
+	if protocol == ProtocolCoinFlood && n != 2 {
+		return fmt.Errorf("core: %s runs with exactly 2 processes, got n=%d", protocol, n)
+	}
+	return nil
+}
+
 // Attack runs the Theorem 1 adversary against the named protocol with n
 // processes. maxConfigs bounds each exhaustive valency query (0 = default);
 // ctx bounds the whole construction in wall-clock time, and a cancelled run

@@ -32,35 +32,17 @@ type testRun struct {
 	polls map[string]int // /dist/poll requests served, by worker
 }
 
-func newTestRun(t *testing.T, n, slices, maxDepth int, leaseMS int64) *testRun {
+func newTestRun(t *testing.T, protocol string, n, slices, maxDepth int, leaseMS int64) *testRun {
 	t.Helper()
-	m, opts, err := core.Machine(core.ProtocolDiskRace)
+	run, err := NewRun(protocol, n, slices, maxDepth, time.Duration(leaseMS)*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := make([]model.Value, n)
-	inputs[0] = model.Value("0")
-	for i := 1; i < n; i++ {
-		inputs[i] = model.Value("1")
-	}
-	root := model.NewConfig(m, inputs)
-	procs := make([]int, n)
-	for i := range procs {
-		procs[i] = i
-	}
-	spec := Spec{
-		Protocol:  core.ProtocolDiskRace,
-		N:         n,
-		Slices:    slices,
-		MaxDepth:  maxDepth,
-		LeaseMS:   leaseMS,
-		FPVersion: explore.FingerprintVersion,
-	}
-	coord, err := NewCoordinator(spec, opts.NewFingerprinter().Fingerprint(root), nil)
+	coord, err := run.Coordinator(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &testRun{spec: spec, coord: coord, root: root, procs: procs, opts: opts, polls: make(map[string]int)}
+	tr := &testRun{spec: run.Spec, coord: coord, root: run.Root, procs: run.Procs, opts: run.Opts, polls: make(map[string]int)}
 	h := coord.Handler()
 	tr.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/dist/poll" {
@@ -150,19 +132,22 @@ func (tr *testRun) sequential(t *testing.T) []byte {
 // byte-identical to the single-process explore.Reach reference, across
 // the barrier's termination edges — a depth cap, an unbounded run that
 // ends on a level with nothing fresh, a cap of one level, and more slices
-// than the early levels have configurations.
+// than the early levels have configurations — and on CoinFlood, whose
+// coin-poised processes have two moves each.
 func TestDistributedMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
+		protocol            string
 		n, slices, maxDepth int
 	}{
-		{"n3-depth6", 3, 3, 6},
-		{"n2-unbounded", 2, 3, 0},
-		{"n3-depth1", 3, 3, 1},
-		{"n3-5slices-depth2", 3, 5, 2},
+		{"n3-depth6", core.ProtocolDiskRace, 3, 3, 6},
+		{"n2-unbounded", core.ProtocolDiskRace, 2, 3, 0},
+		{"n3-depth1", core.ProtocolDiskRace, 3, 3, 1},
+		{"n3-5slices-depth2", core.ProtocolDiskRace, 3, 5, 2},
+		{"coinflood-n2-depth30", core.ProtocolCoinFlood, 2, 3, 30},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := newTestRun(t, tc.n, tc.slices, tc.maxDepth, 400)
+			tr := newTestRun(t, tc.protocol, tc.n, tc.slices, tc.maxDepth, 400)
 			got := tr.runWorkers(t,
 				tr.worker("w0", 1, nil), tr.worker("w1", 2, nil), tr.worker("w2", 3, nil))
 			if want := tr.sequential(t); !bytes.Equal(got, want) {
@@ -172,10 +157,27 @@ func TestDistributedMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestNewRunRefusesBadProcessCount: CoinFlood admits only n=2, so a run
+// (and with it any coordinator or shard worker) for n=3 is refused with
+// an error instead of panicking in the protocol's Init — from a flag and
+// from a served spec alike.
+func TestNewRunRefusesBadProcessCount(t *testing.T) {
+	if _, err := NewRun(core.ProtocolCoinFlood, 3, 3, 0, time.Second); err == nil {
+		t.Fatal("NewRun built a coinflood n=3 run")
+	}
+	spec := Spec{Protocol: core.ProtocolCoinFlood, N: 3, Slices: 3, LeaseMS: 1000, FPVersion: explore.FingerprintVersion}
+	if _, err := RunFromSpec(spec); err == nil {
+		t.Fatal("RunFromSpec built a coinflood n=3 run")
+	}
+	if _, err := NewRun(core.ProtocolCoinFlood, 2, 3, 0, time.Second); err != nil {
+		t.Fatalf("coinflood n=2: %v", err)
+	}
+}
+
 // TestSingleWorkerOwnsAllSlices: one worker accumulates every slice over
 // successive polls and still matches the reference.
 func TestSingleWorkerOwnsAllSlices(t *testing.T) {
-	tr := newTestRun(t, 3, 4, 5, 5000)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 4, 5, 5000)
 	got := tr.runWorkers(t, tr.worker("solo", 7, nil))
 	if want := tr.sequential(t); !bytes.Equal(got, want) {
 		t.Fatalf("distributed witness differs from sequential:\n--- distributed\n%s--- sequential\n%s", got, want)
@@ -192,7 +194,7 @@ func TestSingleWorkerOwnsAllSlices(t *testing.T) {
 // and the merged witness is still byte-identical to the reference. The
 // reassignment must be visible in shard health.
 func TestStallRecovery(t *testing.T) {
-	tr := newTestRun(t, 3, 3, 6, 200)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 3, 6, 200)
 	stall := &faults.ShardFault{Kind: "stall", Level: 2, Stall: 1200 * time.Millisecond}
 	// The sleepy worker joins alone and the steady one only once it holds
 	// a lease: started together, the steady worker can lease every slice
@@ -223,7 +225,7 @@ func TestStallRecovery(t *testing.T) {
 // (typed, never ingested) and re-request until a clean copy arrives; the
 // witness still matches the reference.
 func TestCorruptChunkRetry(t *testing.T) {
-	tr := newTestRun(t, 3, 2, 5, 5000)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 2, 5, 5000)
 	inj := faults.NewOpInjector()
 	inj.Fail("dist.chunk.get", 3, nil)
 	tr.coord.SetFaults(inj)
@@ -255,7 +257,7 @@ func markBody(t *testing.T, s, level int, steps, fresh int64) []byte {
 // posted after all its chunks, so nothing about the level needs redoing
 // and the level closes on the healthy mark.
 func TestIngestDoneSurvivesPhaseRegression(t *testing.T) {
-	tr := newTestRun(t, 3, 2, 3, 60)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 2, 3, 60)
 	c := tr.coord
 	live := c.poll(context.Background(), "live") // grants slice 0
 	dead := c.poll(context.Background(), "dead") // grants slice 1
@@ -287,7 +289,7 @@ func TestIngestDoneSurvivesPhaseRegression(t *testing.T) {
 // rebuilds from the checkpoint instead of exiting. The same mark under the
 // new epoch is accepted.
 func TestStaleIngestDoneAfterRegrant(t *testing.T) {
-	tr := newTestRun(t, 3, 1, 3, 5000)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 1, 3, 5000)
 	ctx := context.Background()
 	cl := newClient(tr.srv.URL, "w", 1)
 	before, err := cl.poll(ctx)
@@ -316,7 +318,7 @@ func TestStaleIngestDoneAfterRegrant(t *testing.T) {
 // level must not regress the stored recovery point — the newest checkpoint
 // wins, and the stale post is acknowledged as a no-op.
 func TestCheckpointLevelMonotonic(t *testing.T) {
-	tr := newTestRun(t, 3, 1, 3, 5000)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 1, 3, 5000)
 	c := tr.coord
 	epoch := c.poll(context.Background(), "w").Slices[0].Epoch
 	for level := 0; level <= 1; level++ {
@@ -342,7 +344,7 @@ func TestCheckpointLevelMonotonic(t *testing.T) {
 // TestMarkRejectsNegativeCounts: a mark whose checkpoint declares negative
 // steps or fresh counts is a bad request, never stored or counted.
 func TestMarkRejectsNegativeCounts(t *testing.T) {
-	tr := newTestRun(t, 3, 1, 3, 5000)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 1, 3, 5000)
 	ctx := context.Background()
 	cl := newClient(tr.srv.URL, "w", 1)
 	resp, err := cl.poll(ctx)
@@ -365,7 +367,7 @@ func TestMarkRejectsNegativeCounts(t *testing.T) {
 // not have is a bad request, never stored or journaled — no slice would
 // ever ingest it.
 func TestChunkToOutOfRangeRejected(t *testing.T) {
-	tr := newTestRun(t, 3, 3, 3, 5000)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 3, 3, 5000)
 	ctx := context.Background()
 	cl := newClient(tr.srv.URL, "w", 1)
 	if _, err := cl.poll(ctx); err != nil { // grants slice 0
@@ -393,7 +395,7 @@ func TestChunkToOutOfRangeRejected(t *testing.T) {
 // TestPostFromNonOwnerRejected: a zombie worker whose lease was revoked
 // gets 409 on its posts and ErrLeaseLost from the client.
 func TestPostFromNonOwnerRejected(t *testing.T) {
-	tr := newTestRun(t, 3, 1, 3, 50)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 1, 3, 50)
 	ctx := context.Background()
 	zombie := newClient(tr.srv.URL, "zombie", 1)
 	resp, err := zombie.poll(ctx)
@@ -421,7 +423,7 @@ func TestPostFromNonOwnerRejected(t *testing.T) {
 // coordinator records into a live scope so the park metrics can be read.
 func parkRun(t *testing.T, leaseMS int64) (*testRun, *client) {
 	t.Helper()
-	tr := newTestRun(t, 3, 2, 3, leaseMS)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 2, 3, leaseMS)
 	tr.coord.scope = obs.NewScope(nil)
 	ctx := context.Background()
 	a := newClient(tr.srv.URL, "a", 1)
@@ -592,7 +594,7 @@ func TestParkStaysBelowClientTimeout(t *testing.T) {
 // each poll parks until a level closes or the park interval elapses, so it
 // makes at most one poll per level close plus one per park interval.
 func TestIdleWorkerDoesNotSpin(t *testing.T) {
-	tr := newTestRun(t, 3, 1, 6, 2000)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 1, 6, 2000)
 	// The holder stalls half a lease at level 2 — short of losing its
 	// slice — so the idle worker also sits through park timeouts.
 	stall := &faults.ShardFault{Kind: "stall", Level: 2, Stall: time.Second}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/faults"
 )
@@ -95,13 +96,13 @@ func (tr *testRun) runWorkersUntilLevel(t *testing.T, level int, workers ...*Wor
 // reference.
 func TestRecoverMidRunWitnessIdentical(t *testing.T) {
 	dir := t.TempDir()
-	tr1 := newTestRun(t, 3, 3, 6, 5000)
+	tr1 := newTestRun(t, core.ProtocolDiskRace, 3, 3, 6, 5000)
 	tr1.attachJournal(t, dir, nil)
 	tr1.runWorkersUntilLevel(t, 2, tr1.worker("pre-a", 1, nil), tr1.worker("pre-b", 2, nil))
 	st1 := tr1.coord.Status()
 	tr1.srv.Close()
 
-	tr2 := newTestRun(t, 3, 3, 6, 5000)
+	tr2 := newTestRun(t, core.ProtocolDiskRace, 3, 3, 6, 5000)
 	j2, err := OpenJournal(dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -140,18 +141,18 @@ func TestRecoverMidRunWitnessIdentical(t *testing.T) {
 // still matches. Exercises the snapshot chain across incarnations.
 func TestRecoverSurvivesSecondCrash(t *testing.T) {
 	dir := t.TempDir()
-	tr1 := newTestRun(t, 3, 2, 6, 5000)
+	tr1 := newTestRun(t, core.ProtocolDiskRace, 3, 2, 6, 5000)
 	tr1.attachJournal(t, dir, nil)
 	tr1.runWorkersUntilLevel(t, 1, tr1.worker("a1", 1, nil))
 	tr1.srv.Close()
 
-	tr2 := newTestRun(t, 3, 2, 6, 5000)
+	tr2 := newTestRun(t, core.ProtocolDiskRace, 3, 2, 6, 5000)
 	tr2.attachJournal(t, dir, nil)
 	gen2 := tr2.coord.Status().Gen
 	tr2.runWorkersUntilLevel(t, 2, tr2.worker("a2", 2, nil), tr2.worker("b2", 3, nil))
 	tr2.srv.Close()
 
-	tr3 := newTestRun(t, 3, 2, 6, 5000)
+	tr3 := newTestRun(t, core.ProtocolDiskRace, 3, 2, 6, 5000)
 	tr3.attachJournal(t, dir, nil)
 	if gen3 := tr3.coord.Status().Gen; gen3 <= gen2 {
 		t.Fatalf("generation did not advance across crashes: %d then %d", gen2, gen3)
@@ -167,12 +168,12 @@ func TestRecoverSurvivesSecondCrash(t *testing.T) {
 // the recovered stats.
 func TestRecoverFinishedRun(t *testing.T) {
 	dir := t.TempDir()
-	tr1 := newTestRun(t, 3, 2, 5, 5000)
+	tr1 := newTestRun(t, core.ProtocolDiskRace, 3, 2, 5, 5000)
 	tr1.attachJournal(t, dir, nil)
 	want := tr1.runWorkers(t, tr1.worker("w", 5, nil))
 	tr1.srv.Close()
 
-	tr2 := newTestRun(t, 3, 2, 5, 5000)
+	tr2 := newTestRun(t, core.ProtocolDiskRace, 3, 2, 5, 5000)
 	tr2.attachJournal(t, dir, nil)
 	st := tr2.coord.Status()
 	if !st.Done {
@@ -198,7 +199,7 @@ func TestRecoverFinishedRun(t *testing.T) {
 // journaled copy winning over late reposts (the satellite-6 fix).
 func TestRecoveryWindowGatesAndStashes(t *testing.T) {
 	dir := t.TempDir()
-	tr1 := newTestRun(t, 3, 2, 4, 5000)
+	tr1 := newTestRun(t, core.ProtocolDiskRace, 3, 2, 4, 5000)
 	tr1.attachJournal(t, dir, nil)
 	c1 := tr1.coord
 	c1.poll(context.Background(), "w")
@@ -214,7 +215,7 @@ func TestRecoveryWindowGatesAndStashes(t *testing.T) {
 	tr1.srv.Close()
 
 	// Restart into the recovery window: attach but do not recover yet.
-	tr2 := newTestRun(t, 3, 2, 4, 5000)
+	tr2 := newTestRun(t, core.ProtocolDiskRace, 3, 2, 4, 5000)
 	j2, err := OpenJournal(dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +299,7 @@ func TestRecoveryWindowGatesAndStashes(t *testing.T) {
 // collide with them.
 func TestRecoverEpochsFenceZombies(t *testing.T) {
 	dir := t.TempDir()
-	tr1 := newTestRun(t, 3, 1, 4, 5000)
+	tr1 := newTestRun(t, core.ProtocolDiskRace, 3, 1, 4, 5000)
 	tr1.attachJournal(t, dir, nil)
 	pre := tr1.coord.poll(context.Background(), "w")
 	if len(pre.Slices) != 1 {
@@ -306,7 +307,7 @@ func TestRecoverEpochsFenceZombies(t *testing.T) {
 	}
 	tr1.srv.Close()
 
-	tr2 := newTestRun(t, 3, 1, 4, 5000)
+	tr2 := newTestRun(t, core.ProtocolDiskRace, 3, 1, 4, 5000)
 	tr2.attachJournal(t, dir, nil)
 	post := tr2.coord.poll(context.Background(), "w")
 	if len(post.Slices) != 1 {
@@ -324,11 +325,11 @@ func TestRecoverEpochsFenceZombies(t *testing.T) {
 // level would corrupt the witness.
 func TestAttachJournalSpecMismatch(t *testing.T) {
 	dir := t.TempDir()
-	tr1 := newTestRun(t, 3, 2, 4, 5000)
+	tr1 := newTestRun(t, core.ProtocolDiskRace, 3, 2, 4, 5000)
 	tr1.attachJournal(t, dir, nil)
 	tr1.srv.Close()
 
-	tr2 := newTestRun(t, 3, 3, 4, 5000) // different slice count
+	tr2 := newTestRun(t, core.ProtocolDiskRace, 3, 3, 4, 5000) // different slice count
 	j, err := OpenJournal(dir, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +346,7 @@ func TestAttachJournalSpecMismatch(t *testing.T) {
 // proves the degradation path is invisible to correctness either way.
 func TestRecoverWithDegradedJournal(t *testing.T) {
 	dir := t.TempDir()
-	tr := newTestRun(t, 3, 2, 5, 5000)
+	tr := newTestRun(t, core.ProtocolDiskRace, 3, 2, 5, 5000)
 	opener := func(path string, flag int) (faults.File, error) {
 		if len(path) > 4 && path[len(path)-4:] == ".seg" {
 			return (&faults.FSFault{Budget: 16}).Opener()(path, flag)
@@ -364,14 +365,14 @@ func TestRecoverWithDegradedJournal(t *testing.T) {
 // both WALs and still finishes with the identical witness.
 func TestRecoverFromSnapshotCorruption(t *testing.T) {
 	dir := t.TempDir()
-	tr1 := newTestRun(t, 3, 2, 6, 5000)
+	tr1 := newTestRun(t, core.ProtocolDiskRace, 3, 2, 6, 5000)
 	tr1.attachJournal(t, dir, nil)
 	tr1.runWorkersUntilLevel(t, 2, tr1.worker("a", 1, nil), tr1.worker("b", 2, nil))
 	tr1.srv.Close()
 
 	corruptNewestSnapshot(t, dir)
 
-	tr2 := newTestRun(t, 3, 2, 6, 5000)
+	tr2 := newTestRun(t, core.ProtocolDiskRace, 3, 2, 6, 5000)
 	tr2.attachJournal(t, dir, nil)
 	got := tr2.runWorkers(t, tr2.worker("c", 3, nil))
 	if want := tr2.sequential(t); !bytes.Equal(got, want) {

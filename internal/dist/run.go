@@ -26,8 +26,8 @@ type Run struct {
 // uses the Theorem 1 mixed inputs — process 0 proposes "0", everyone else
 // "1" — the bivalent start every exploration in this repo reasons from.
 func NewRun(protocol string, n, slices, maxDepth int, lease time.Duration) (*Run, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("dist: n=%d, need at least 2 processes", n)
+	if err := core.CheckProcesses(protocol, n); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	if slices < 1 {
 		return nil, fmt.Errorf("dist: %d slices", slices)

@@ -9,22 +9,26 @@
 // barrier per BFS level, and aggregates per-level counts and
 // XOR-of-fingerprint digests into the run's witness. At level L a slice
 // owner ingests the level L-1 exchange chunks addressed to it (seeding the
-// root at level 0), expands the fresh configurations by witness-path
-// replay, ships cross-slice children to the coordinator as exchange chunks
-// framed in the checksummed checkpoint-segment format
-// (internal/checkpoint.EncodeChunk — a torn or corrupted chunk fails typed
-// and is re-requested, never partially ingested), and then posts its slice
-// checkpoint for level L, which is also its barrier mark. When a lease
-// expires — crash, SIGKILL, or a stall injected via internal/faults — the
-// slice is regranted to a surviving worker, which loads the slice's newest
-// checkpoint and redoes the current level from the retained chunks; every
-// redo is deterministic, so the merged run produces a witness
-// byte-identical to an uninterrupted single-process run's
-// (SequentialWitness is that reference).
+// root at level 0) and expands the fresh configurations on explore's
+// packed engine: each entry's witness path is replayed from the root's
+// packed record through a memoising stepper, every enabled move is stepped
+// on the packed record, and a raw-record pre-filter skips the canonical
+// key for children the level already produced. It ships the children to
+// the coordinator as exchange chunks framed in the checksummed
+// checkpoint-segment format (internal/checkpoint.EncodeChunk — a torn or
+// corrupted chunk fails typed and is re-requested, never partially
+// ingested), and then posts its slice checkpoint for level L, which is
+// also its barrier mark. When a lease expires — crash, SIGKILL, or a stall
+// injected via internal/faults — the slice is regranted to a surviving
+// worker, which loads the slice's newest checkpoint and redoes the current
+// level from the retained chunks; every redo is deterministic, so the
+// merged run produces a witness byte-identical to an uninterrupted
+// single-process run's (SequentialWitness is that reference).
 package dist
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -32,7 +36,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/explore"
-	"repro/internal/model"
 )
 
 // Spec describes a distributed run. The coordinator serves it at
@@ -55,10 +58,12 @@ type Spec struct {
 
 // Entry is one frontier configuration in flight between processes: its
 // canonical fingerprint plus its witness path from the root as packed
-// moves (model.PackMove). Configurations themselves are never serialised —
-// model.Config holds State interface values — so a receiver rebuilds the
-// configuration by replaying the path from the root, the same philosophy
-// the checkpoint layer uses for frontier snapshots.
+// moves (model.PackMove). Neither configurations nor packed records are
+// serialised — a model.Config holds State interface values, and a packed
+// record's dictionary ids mean something only to the codec that interned
+// them — so a receiver rebuilds the entry's packed record by replaying the
+// path from the root's through its own memoising stepper, the same
+// philosophy the checkpoint layer uses for frontier snapshots.
 type Entry struct {
 	FP   explore.Fingerprint
 	Path []uint32
@@ -98,6 +103,10 @@ func DecodeEntries(body []byte) ([]Entry, error) {
 		return nil, fmt.Errorf("dist: entries count %d exceeds payload", count)
 	}
 	out := make([]Entry, 0, count)
+	// Paths are carved from one slab. Every move costs at least one byte
+	// and every entry spends FingerprintBytes+1 on its fingerprint and path
+	// length, so what is left bounds the moves of the whole body.
+	slab := make([]uint32, 0, len(body)-int(count)*(explore.FingerprintBytes+1))
 	for i := uint64(0); i < count; i++ {
 		if len(body) < explore.FingerprintBytes {
 			return nil, fmt.Errorf("dist: entry %d fingerprint: truncated", i)
@@ -112,10 +121,11 @@ func DecodeEntries(body []byte) ([]Entry, error) {
 			return nil, fmt.Errorf("dist: entry %d path length: truncated", i)
 		}
 		body = body[n:]
-		if plen > uint64(len(body)) {
+		if plen > uint64(len(body)) || plen > uint64(cap(slab)-len(slab)) {
 			return nil, fmt.Errorf("dist: entry %d path length %d exceeds payload", i, plen)
 		}
-		path := make([]uint32, plen)
+		path := slab[len(slab) : len(slab)+int(plen) : len(slab)+int(plen)]
+		slab = slab[:len(slab)+int(plen)]
 		for j := uint64(0); j < plen; j++ {
 			mv, n := binary.Uvarint(body)
 			if n <= 0 {
@@ -133,15 +143,6 @@ func DecodeEntries(body []byte) ([]Entry, error) {
 		return nil, fmt.Errorf("dist: %d trailing bytes after entries", len(body))
 	}
 	return out, nil
-}
-
-// Replay rebuilds the entry's configuration by applying its path to root.
-func (e *Entry) Replay(root model.Config) model.Config {
-	c := root
-	for _, mv := range e.Path {
-		c = model.ApplyMove(c, model.UnpackMove(mv))
-	}
-	return c
 }
 
 // chunkKind is the Kind of every frontier exchange chunk.
@@ -206,9 +207,20 @@ type sliceCkptMeta struct {
 	Digest    [2]uint64 `json:"digest"`
 }
 
+// compareFingerprints orders fingerprints by their first word, then their
+// second: the order of an encoded checkpoint's visited set.
+func compareFingerprints(a, b explore.Fingerprint) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
+}
+
 // Encode frames the checkpoint in the checksummed segment format: meta
 // JSON, then the visited fingerprints (sorted, so the bytes are
-// deterministic).
+// deterministic). A worker keeps its visited set sorted, so the order is
+// checked in one pass and Visited sorted — on a copy — only when it is
+// not.
 func (ck *SliceCheckpoint) Encode() ([]byte, error) {
 	meta, err := json.Marshal(sliceCkptMeta{
 		Slice: ck.Slice, Level: ck.Level, FPVersion: ck.FPVersion, Visited: len(ck.Visited),
@@ -217,22 +229,11 @@ func (ck *SliceCheckpoint) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sorted := slices.Clone(ck.Visited)
-	slices.SortFunc(sorted, func(a, b explore.Fingerprint) int {
-		if a[0] != b[0] {
-			if a[0] < b[0] {
-				return -1
-			}
-			return 1
-		}
-		if a[1] != b[1] {
-			if a[1] < b[1] {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
+	sorted := ck.Visited
+	if !slices.IsSortedFunc(sorted, compareFingerprints) {
+		sorted = slices.Clone(sorted)
+		slices.SortFunc(sorted, compareFingerprints)
+	}
 	visited := make([]byte, 0, len(sorted)*explore.FingerprintBytes)
 	for _, fp := range sorted {
 		visited = fp.AppendBinary(visited)

@@ -3,7 +3,9 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -173,5 +175,60 @@ func TestRenderWitnessShape(t *testing.T) {
 		"depth: 1\n"
 	if got != want {
 		t.Fatalf("witness:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// parentCheckpointHex is a slice checkpoint encoded by the build before
+// workers kept their visited sets sorted (Encode then cloned and sorted on
+// every call): slice 2, level 7, five visited fingerprints given to Encode
+// out of order, steps 1234, fresh 3.
+const parentCheckpointHex = "5342434b5054010a5e7b22736c696365223a322c226c6576656c223a372c2266705f76657273696f6e223a322c2276697369746564223a352c227374657073223a313233342c226672657368223a332c22646967657374223a5b36353236312c36343230365d7d7ef0453683a919e17b17aeee3ebd41faae89e91b2e3fa91508d364fcd8c1c5f0500000000000000000ffffffffffffffff0100000000000000020000000000000001000000000000000900000000000000090000000000000001000000000000001032547698badcfeefcdab8967452301f9a164c80b7d2e6b83bf0feec78afb62155b7b775ff6e870e736fc72842037ac"
+
+// TestSliceCheckpointParentFormat: a checkpoint written before the sorted
+// visited set decodes and re-encodes byte-identically, and encoding the
+// same state from unsorted input — which Encode must now detect — gives
+// the same bytes, without reordering the caller's slice.
+func TestSliceCheckpointParentFormat(t *testing.T) {
+	parent, err := hex.DecodeString(parentCheckpointHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := DecodeSliceCheckpoint(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := ck.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, parent) {
+		t.Fatal("re-encoded parent checkpoint differs from the parent's bytes")
+	}
+	unsorted := []explore.Fingerprint{{9, 1}, {0xfedcba9876543210, 0x0123456789abcdef}, {1, 9}, {1, 2}, {0, ^uint64(0)}}
+	given := slices.Clone(unsorted)
+	fromUnsorted, err := (&SliceCheckpoint{Slice: 2, Level: 7, FPVersion: explore.FingerprintVersion,
+		Visited: given, Steps: 1234, Fresh: 3, Digest: explore.Fingerprint{0xfeed, 0xface}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromUnsorted, parent) {
+		t.Fatal("encoding unsorted visited fingerprints differs from the parent's bytes")
+	}
+	if !slices.Equal(given, unsorted) {
+		t.Fatal("Encode reordered the caller's visited slice")
+	}
+}
+
+// TestDecodeEntriesPathsDisjoint: paths carved from one slab are capped at
+// their own length, so growing one never overwrites the next.
+func TestDecodeEntriesPathsDisjoint(t *testing.T) {
+	got, err := DecodeEntries(AppendEntries(nil, sampleEntries()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := slices.Clone(got[2].Path)
+	grown := append(got[1].Path, 7, 7, 7)
+	if !slices.Equal(got[2].Path, next) || len(grown) != len(got[1].Path)+3 {
+		t.Fatalf("appending to path 1 changed path 2: %v, want %v", got[2].Path, next)
 	}
 }

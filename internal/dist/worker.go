@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -18,7 +19,9 @@ import (
 // the per-level protocol: ingest, expand, mark. It never sleeps between
 // polls: a poll with nothing to hand out parks in the coordinator until
 // the level closes, so the poll is also the barrier wait. All state is
-// private to the single Run goroutine; crash tolerance comes from the
+// private to the single Run goroutine — the visited sets and one packed
+// transition engine (explore's codec and memoising stepper), shared by
+// every slice the worker holds. Crash tolerance comes from the
 // coordinator's checkpoints and retained chunks, not from anything the
 // worker persists locally.
 type Worker struct {
@@ -35,13 +38,38 @@ type Worker struct {
 }
 
 // sliceState is the worker's in-memory state for one leased slice: the
-// visited set as of the newest level the slice finished. The frontier
-// lives only inside a level's run — it is rebuilt from the previous
-// level's chunks every time.
+// visited set as of the newest level the slice finished, kept sorted so
+// the level's mark encodes it without a sort. The frontier lives only
+// inside a level's run — it is rebuilt from the previous level's chunks
+// every time.
 type sliceState struct {
 	epoch   int
 	level   int // newest level finished (checkpointed), -1 before level 0
-	visited map[explore.Fingerprint]struct{}
+	visited []explore.Fingerprint
+}
+
+// seen reports whether fp is in the slice's visited set.
+func (st *sliceState) seen(fp explore.Fingerprint) bool {
+	_, found := slices.BinarySearchFunc(st.visited, fp, compareFingerprints)
+	return found
+}
+
+// addFresh merges the level's fresh fingerprints — none of them visited
+// yet, and sorted here — into the visited set.
+func (st *sliceState) addFresh(fresh []explore.Fingerprint) {
+	slices.SortFunc(fresh, compareFingerprints)
+	n := len(st.visited)
+	st.visited = slices.Grow(st.visited, len(fresh))[:n+len(fresh)]
+	i, j := n-1, len(fresh)-1
+	for k := len(st.visited) - 1; j >= 0; k-- {
+		if i >= 0 && compareFingerprints(st.visited[i], fresh[j]) > 0 {
+			st.visited[k] = st.visited[i]
+			i--
+		} else {
+			st.visited[k] = fresh[j]
+			j--
+		}
+	}
 }
 
 // Run drives the worker until the run completes, the context is
@@ -60,8 +88,11 @@ func (w *Worker) Run(ctx context.Context) error {
 	if spec.Slices < 1 {
 		return fmt.Errorf("dist: spec has %d slices", spec.Slices)
 	}
-	fpr := w.Opts.NewFingerprinter()
-	rootFP := fpr.Fingerprint(w.Root)
+	x, err := newExpander(w.Root, w.Procs, w.Opts)
+	if err != nil {
+		return err
+	}
+	rootFP := x.fpr.Fingerprint(w.Root)
 	states := make(map[int]*sliceState)
 	var faultFired bool
 	for {
@@ -99,7 +130,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			if err == nil {
 				states[s] = st
-				err = w.runLevel(ctx, cl, spec, fpr, rootFP, s, st, resp.Level, &faultFired)
+				err = w.runLevel(ctx, cl, spec, x, rootFP, s, st, resp.Level, &faultFired)
 			}
 			if errors.Is(err, ErrLeaseLost) {
 				delete(states, s)
@@ -118,7 +149,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // checkpoint — the previous level's, which runLevel checks — or, with
 // none yet, start before level 0.
 func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, s int, ps pollSlice) (*sliceState, error) {
-	st := &sliceState{epoch: ps.Epoch, level: -1, visited: make(map[explore.Fingerprint]struct{})}
+	st := &sliceState{epoch: ps.Epoch, level: -1}
 	if ps.HasCkpt {
 		ck, err := cl.getCheckpoint(ctx, s)
 		if err != nil {
@@ -127,8 +158,11 @@ func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, s int, ps pol
 		if ck.Slice != s || ck.FPVersion != spec.FPVersion {
 			return nil, fmt.Errorf("dist: checkpoint for slice %d is slice %d v%d", s, ck.Slice, ck.FPVersion)
 		}
-		for _, fp := range ck.Visited {
-			st.visited[fp] = struct{}{}
+		// Encode writes the visited set sorted; sort anyway rather than
+		// trust the bytes, since membership is a binary search.
+		st.visited = ck.Visited
+		if !slices.IsSortedFunc(st.visited, compareFingerprints) {
+			slices.SortFunc(st.visited, compareFingerprints)
 		}
 		st.level = ck.Level
 	}
@@ -138,12 +172,12 @@ func (w *Worker) adopt(ctx context.Context, cl *client, spec Spec, s int, ps pol
 
 // runLevel runs slice s through the level: ingest the previous level's
 // chunks addressed to it (at level 0, seed the root instead), expand the
-// fresh configurations — replay each to a configuration, apply every
-// enabled move, and bucket the children by destination slice — ship the
-// buckets as verified chunks, and post the slice's checkpoint for the
-// level as its barrier mark. The level at the depth cap is ingested but
-// never expanded.
-func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, fpr *explore.Fingerprinter, rootFP explore.Fingerprint, s int, st *sliceState, level int, faultFired *bool) error {
+// fresh configurations on the worker's packed engine (expander.expandLevel:
+// memoised path replay, packed stepping, a raw-record pre-filter), ship
+// the children bucketed by destination slice as verified chunks, and post
+// the slice's checkpoint for the level as its barrier mark. The level at
+// the depth cap is ingested but never expanded.
+func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, x *expander, rootFP explore.Fingerprint, s int, st *sliceState, level int, faultFired *bool) error {
 	if st.level != level-1 {
 		return fmt.Errorf("dist: slice %d at level %d while run is at %d", s, st.level, level)
 	}
@@ -152,7 +186,7 @@ func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, fpr *explo
 	var digest explore.Fingerprint
 	if level == 0 {
 		if explore.ShardOf(rootFP, spec.Slices) == s {
-			st.visited[rootFP] = struct{}{}
+			st.addFresh([]explore.Fingerprint{rootFP})
 			frontier = []Entry{{FP: rootFP}}
 			fresh, digest = 1, rootFP
 		}
@@ -170,45 +204,19 @@ func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, fpr *explo
 	if spec.MaxDepth == 0 || level < spec.MaxDepth {
 		heartbeatEvery := time.Duration(spec.LeaseMS) * time.Millisecond / 5
 		lastBeat := time.Now()
-		// outgoing buckets children by destination slice. Child paths are
-		// carved from a per-level slab instead of one allocation per child:
-		// they live only until their chunk is encoded.
-		outgoing := make([][]Entry, spec.Slices)
-		var slab []uint32
-		var moves []model.Move
-		for i := range frontier {
-			e := &frontier[i]
-			cfg := e.Replay(w.Root)
-			moves = explore.AppendMoves(moves[:0], cfg, w.Procs)
-			for _, mv := range moves {
-				child := model.ApplyMove(cfg, mv)
-				steps++
-				fp := fpr.Fingerprint(child)
-				packed, err := model.PackMove(mv)
-				if err != nil {
-					return err
-				}
-				n := len(e.Path) + 1
-				if cap(slab)-len(slab) < n {
-					// First block: one move per process per entry; later
-					// blocks double.
-					slab = make([]uint32, 0, max(len(frontier)*len(w.Procs)*n, 2*cap(slab)))
-				}
-				path := slab[len(slab) : len(slab)+n : len(slab)+n]
-				slab = slab[:len(slab)+n]
-				copy(path, e.Path)
-				path[len(e.Path)] = packed
-				dest := explore.ShardOf(fp, spec.Slices)
-				outgoing[dest] = append(outgoing[dest], Entry{FP: fp, Path: path})
+		// A big level must not cost us the lease mid-expansion.
+		beat := func() error {
+			if time.Since(lastBeat) <= heartbeatEvery {
+				return nil
 			}
-			// A big level must not cost us the lease mid-expansion.
-			if time.Since(lastBeat) > heartbeatEvery {
-				if err := cl.heartbeat(ctx); err != nil {
-					return err
-				}
-				lastBeat = time.Now()
-			}
+			lastBeat = time.Now()
+			return cl.heartbeat(ctx)
 		}
+		outgoing, n, err := x.expandLevel(frontier, spec.Slices, beat)
+		if err != nil {
+			return err
+		}
+		steps = n
 		posted := 0
 		for d, entries := range outgoing {
 			if len(entries) == 0 {
@@ -230,11 +238,7 @@ func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, fpr *explo
 			}
 		}
 	}
-	ck := SliceCheckpoint{Slice: s, Level: level, FPVersion: spec.FPVersion, Steps: steps, Fresh: fresh, Digest: digest}
-	ck.Visited = make([]explore.Fingerprint, 0, len(st.visited))
-	for fp := range st.visited {
-		ck.Visited = append(ck.Visited, fp)
-	}
+	ck := SliceCheckpoint{Slice: s, Level: level, FPVersion: spec.FPVersion, Visited: st.visited, Steps: steps, Fresh: fresh, Digest: digest}
 	body, err := ck.Encode()
 	if err != nil {
 		return err
@@ -249,8 +253,9 @@ func (w *Worker) runLevel(ctx context.Context, cl *client, spec Spec, fpr *explo
 // ingestChunks fetches and ingests every retained chunk addressed to slice s at
 // the level, in from-slice order (ascending — the order is part of the
 // frontier's byte determinism), deduplicating against the slice's visited
-// set. Returns the fresh entries in ingest order with their count and XOR
-// digest.
+// set and within the level, then merges the fresh fingerprints into the
+// visited set. Returns the fresh entries in ingest order with their count
+// and XOR digest.
 func (w *Worker) ingestChunks(ctx context.Context, cl *client, s int, st *sliceState, level int) ([]Entry, int64, explore.Fingerprint, error) {
 	froms, err := cl.chunkSources(ctx, level, s)
 	if err != nil {
@@ -258,8 +263,9 @@ func (w *Worker) ingestChunks(ctx context.Context, cl *client, s int, st *sliceS
 	}
 	sort.Ints(froms)
 	retries := w.Scope.Counter("dist_chunk_retries")
+	accepted := make(map[explore.Fingerprint]struct{})
 	var next []Entry
-	var fresh int64
+	var fresh []explore.Fingerprint
 	var digest explore.Fingerprint
 	for _, from := range froms {
 		entries, err := cl.getChunk(ctx, level, from, s, func() { retries.Add(1) })
@@ -267,15 +273,16 @@ func (w *Worker) ingestChunks(ctx context.Context, cl *client, s int, st *sliceS
 			return nil, 0, explore.Fingerprint{}, err
 		}
 		for _, e := range entries {
-			if _, seen := st.visited[e.FP]; seen {
+			if _, dup := accepted[e.FP]; dup || st.seen(e.FP) {
 				continue
 			}
-			st.visited[e.FP] = struct{}{}
+			accepted[e.FP] = struct{}{}
+			fresh = append(fresh, e.FP)
 			next = append(next, e)
-			fresh++
 			digest[0] ^= e.FP[0]
 			digest[1] ^= e.FP[1]
 		}
 	}
-	return next, fresh, digest, nil
+	st.addFresh(fresh)
+	return next, int64(len(next)), digest, nil
 }

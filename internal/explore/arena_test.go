@@ -136,9 +136,9 @@ func TestArenaSpillMatchesLegacySpill(t *testing.T) {
 func TestMixWordsDistinctness(t *testing.T) {
 	seen := make(map[Fingerprint][]uint64, 400000)
 	check := func(ws []uint64) {
-		fp := mixWords(ws)
+		fp := MixWords(ws)
 		if prev, ok := seen[fp]; ok {
-			t.Fatalf("mixWords collision between %v and %v", prev, ws)
+			t.Fatalf("MixWords collision between %v and %v", prev, ws)
 		}
 		seen[fp] = append([]uint64{}, ws...)
 	}
@@ -258,7 +258,7 @@ func TestFPSetConcurrentAdds(t *testing.T) {
 			won := 0
 			for i := 0; i < perG; i++ {
 				// All goroutines insert the same universe of fingerprints.
-				fp := mixWords([]uint64{uint64(i), uint64(i) * 3})
+				fp := MixWords([]uint64{uint64(i), uint64(i) * 3})
 				if s.Add(fp) {
 					won++
 				}

@@ -190,8 +190,9 @@ func (r *Result) PathTo(id int) (model.Path, bool) {
 // configuration c to dst and returns the extended slice: one move per
 // non-decided process, except that a process poised on a coin flip
 // contributes one move per outcome. Decided processes take no steps (their
-// next "step" would be a no-op self-loop). The append form keeps the
-// exploration inner loop allocation-free: workers pass a reused buffer.
+// next "step" would be a no-op self-loop). The packed engines enumerate
+// the same moves, in the same order, from packed records with
+// AppendPackedMoves.
 func AppendMoves(dst []model.Move, c model.Config, p []int) []model.Move {
 	for _, pid := range p {
 		k, _ := model.PeekOp(c.State(pid))
@@ -210,8 +211,33 @@ func AppendMoves(dst []model.Move, c model.Config, p []int) []model.Move {
 	return dst
 }
 
+// AppendPackedMoves appends the moves available to the processes in p at
+// the packed record rec to dst and returns the extended slice: the moves
+// AppendMoves lists for rec's configuration, in the same order (decided
+// processes skipped, coin "0" before "1"), read from ps's memo over each
+// process's interned state id, so no configuration is built. rec must be
+// a live record of codec, the codec ps steps. Every packed engine —
+// Reach's workers, ReachMasked and the shard workers of internal/dist —
+// enumerates through it.
+func AppendPackedMoves(dst []model.Move, codec *model.PackedCodec, ps *model.PackedStepper, rec []uint64, p []int) []model.Move {
+	for _, pid := range p {
+		switch kind, _ := ps.Op(codec.StateID(rec, pid)); kind {
+		case model.OpDecide:
+			// Terminated; contributes no transitions.
+		case model.OpCoin:
+			dst = append(dst,
+				model.Move{Pid: pid, Coin: "0"},
+				model.Move{Pid: pid, Coin: "1"},
+			)
+		default:
+			dst = append(dst, model.Move{Pid: pid})
+		}
+	}
+	return dst
+}
+
 // Moves enumerates the moves available to the processes in p at
-// configuration c in a fresh slice; hot loops use AppendMoves.
+// configuration c in a fresh slice.
 func Moves(c model.Config, p []int) []model.Move {
 	return AppendMoves(make([]model.Move, 0, len(p)+2), c, p)
 }

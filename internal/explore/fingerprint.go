@@ -94,16 +94,17 @@ func mix128(p []byte) Fingerprint {
 	return Fingerprint{h1, h2}
 }
 
-// mixWords digests a packed record (a []uint64 instance-local encoding)
+// MixWords digests a packed record (a []uint64 instance-local encoding)
 // with the same mixing rounds as mix128. It keys the raw-identity
-// pre-filters of Reach and ReachMasked: packed records are exact
-// encodings, so equal words mean equal configurations, and a second,
-// cheaper hash over the words lets the hot path skip building the
-// canonical key for the (majority of) transitions that recreate an
-// already-seen record verbatim. The resulting fingerprints live in their
-// own set — they use dictionary ids, which are instance-scoped, so they
-// are never persisted or compared with canonical fingerprints.
-func mixWords(ws []uint64) Fingerprint {
+// pre-filters of Reach, ReachMasked and the shard workers of
+// internal/dist: packed records are exact encodings, so equal words mean
+// equal configurations, and a second, cheaper hash over the words lets the
+// hot path skip building the canonical key for the (majority of)
+// transitions that recreate an already-seen record verbatim. The resulting
+// fingerprints live in their own set — they use dictionary ids, which are
+// instance-scoped, so they are never persisted, sent to another process or
+// compared with canonical fingerprints.
+func MixWords(ws []uint64) Fingerprint {
 	n := uint64(len(ws))
 	h1 := mixK0 ^ n*mixK2
 	h2 := mixK1 ^ n*mixK3

@@ -18,10 +18,10 @@ import (
 // The search is sequential and FIFO, and its order is part of the
 // contract: nodes are dequeued in insertion order, each parent's mask is
 // read once before its moves, and moves follow p's order with coin "0"
-// before "1" (AppendMoves's order). A configuration is re-inserted as a
-// new node when it is re-reached with candidate bits it has not carried
-// before (a mask upgrade); the new node carries only the reaching path's
-// mask. Counts, cap points and witness paths are therefore a pure function
+// before "1" (AppendMoves's order, which AppendPackedMoves reproduces). A
+// configuration is re-inserted as a new node when it is re-reached with
+// candidate bits it has not carried before (a mask upgrade); the new node
+// carries only the reaching path's mask. Counts, cap points and witness paths are therefore a pure function
 // of the inputs.
 //
 // It runs on the packed engine's pieces: a per-search PackedCodec, one
@@ -126,29 +126,18 @@ func ReachMasked(ctx context.Context, c model.Config, p []int, allowed []uint64,
 		// never modify.
 		rec := arena[lo*stride : (lo+1)*stride]
 		depth := res.nodes[lo].depth + 1
-		for i, pid := range p {
+		for i := range p {
 			childMask := mask & allowed[i]
 			if childMask == 0 {
 				continue
 			}
-			kind, _ := ws.stepper.Op(codec.StateID(rec, pid))
-			if kind == model.OpDecide {
-				continue
-			}
-			outcomes := 1
-			if kind == model.OpCoin {
-				outcomes = 2
-			}
-			for o := 0; o < outcomes; o++ {
-				coin := model.Bottom
-				if kind == model.OpCoin {
-					coin = coinOutcomes[o]
-				}
+			ws.moves = AppendPackedMoves(ws.moves[:0], codec, ws.stepper, rec, p[i:i+1])
+			for _, mv := range ws.moves {
 				res.Steps++
-				if err := ws.stepper.StepPacked(ws.childWords, rec, pid, coin); err != nil {
+				if err := ws.stepper.StepPacked(ws.childWords, rec, mv.Pid, mv.Coin); err != nil {
 					return res, fmt.Errorf("masked reach step: %w", err)
 				}
-				rfp := mixWords(ws.childWords)
+				rfp := MixWords(ws.childWords)
 				if childMask&^raw[rfp] == 0 {
 					res.RawHits++
 					continue
@@ -167,7 +156,7 @@ func ReachMasked(ctx context.Context, c model.Config, p []int, allowed []uint64,
 				if prev == 0 {
 					res.Count++
 				}
-				via, err := model.PackMove(model.Move{Pid: pid, Coin: coin})
+				via, err := model.PackMove(mv)
 				if err != nil {
 					return res, fmt.Errorf("masked reach move: %w", err)
 				}

@@ -69,13 +69,14 @@ type chunk struct {
 }
 
 // workerScratch is the per-goroutine reusable state: the packed transition
-// engine with its memos and child buffers, and the key hasher. The
+// engine with its memos, child and move buffers, and the key hasher. The
 // packed pieces are built lazily on the first chunk the goroutine expands.
 type workerScratch struct {
 	stepper    *model.PackedStepper
 	childWords []uint64
 	ustates    []model.State
 	uregs      []model.Value
+	moves      []model.Move
 	hasher
 }
 
@@ -191,59 +192,42 @@ func (s *search) expandRange(ch *chunk, ws *workerScratch) {
 	steps := 0
 	for i := ch.lo; i < ch.hi; i++ {
 		ent := &s.level[i]
-		for _, pid := range s.p {
-			kind, _ := ws.stepper.Op(s.codec.StateID(ent.words, pid))
-			if kind == model.OpDecide {
+		ws.moves = AppendPackedMoves(ws.moves[:0], s.codec, ws.stepper, ent.words, s.p)
+		for _, mv := range ws.moves {
+			steps++
+			if steps%cancelPollStride == 0 {
+				if s.ctx.Err() != nil || s.visited.Len() > s.maxConfigs {
+					return
+				}
+			}
+			if err := ws.stepper.StepPacked(ws.childWords, ent.words, mv.Pid, mv.Coin); err != nil {
+				ch.err = err
+				return
+			}
+			if !s.rawSeen.Add(MixWords(ws.childWords)) {
+				ch.rawHits++
+				ch.dupSteps++
 				continue
 			}
-			outcomes := 1
-			if kind == model.OpCoin {
-				outcomes = 2
+			child, err := s.codec.UnpackInto(ws.childWords, ws.ustates, ws.uregs)
+			if err != nil {
+				ch.err = err
+				return
 			}
-			for o := 0; o < outcomes; o++ {
-				steps++
-				if steps%cancelPollStride == 0 {
-					if s.ctx.Err() != nil || s.visited.Len() > s.maxConfigs {
-						return
-					}
-				}
-				coin := model.Bottom
-				if kind == model.OpCoin {
-					coin = coinOutcomes[o]
-				}
-				if err := ws.stepper.StepPacked(ws.childWords, ent.words, pid, coin); err != nil {
-					ch.err = err
-					return
-				}
-				if !s.rawSeen.Add(mixWords(ws.childWords)) {
-					ch.rawHits++
-					ch.dupSteps++
-					continue
-				}
-				child, err := s.codec.UnpackInto(ws.childWords, ws.ustates, ws.uregs)
-				if err != nil {
-					ch.err = err
-					return
-				}
-				if !s.visited.Add(ws.fingerprint(&s.opts, child)) {
-					ch.dupSteps++
-					continue
-				}
-				via, err := model.PackMove(model.Move{Pid: pid, Coin: coin})
-				if err != nil {
-					ch.err = err
-					return
-				}
-				ch.words = append(ch.words, ws.childWords...)
-				ch.slots = append(ch.slots, childSlot{cfg: ch.slab.Clone(child), via: via, parent: ent.id})
+			if !s.visited.Add(ws.fingerprint(&s.opts, child)) {
+				ch.dupSteps++
+				continue
 			}
+			via, err := model.PackMove(mv)
+			if err != nil {
+				ch.err = err
+				return
+			}
+			ch.words = append(ch.words, ws.childWords...)
+			ch.slots = append(ch.slots, childSlot{cfg: ch.slab.Clone(child), via: via, parent: ent.id})
 		}
 	}
 }
-
-// coinOutcomes lists the two coin results in the order AppendMoves emits
-// them, so the engine expands transitions in Moves order.
-var coinOutcomes = [2]model.Value{"0", "1"}
 
 func (s *search) ensureChunks(n int) {
 	for len(s.chunks) < n {

@@ -43,11 +43,8 @@ func (sp JobSpec) timeout(def time.Duration) time.Duration {
 
 // validate rejects specs the scheduler would only fail on later.
 func (sp *JobSpec) validate() error {
-	if _, _, err := core.Machine(sp.Protocol); err != nil {
-		return err
-	}
-	if sp.N < 2 {
-		return fmt.Errorf("server: n must be >= 2, got %d", sp.N)
+	if err := core.CheckProcesses(sp.Protocol, sp.N); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	if sp.MaxConfigs < 0 || sp.TimeoutMS < 0 || sp.Workers < 0 {
 		return fmt.Errorf("server: negative budget in spec")

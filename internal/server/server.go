@@ -257,9 +257,14 @@ func (s *Server) recover() error {
 			if err := s.batcher.Add(ledger.Item{JobID: j.id, Witness: sha256.Sum256(body)}); err != nil {
 				return err
 			}
-		case StateRunning, StateQueued:
-			s.requeueRecovered(j, "")
 		default:
+			if err := j.status.Spec.validate(); err != nil {
+				// Admitted before admission refused this spec: running it
+				// could only fail again, or panic and take the server down
+				// on every restart.
+				s.failRecovered(j, err)
+				continue
+			}
 			s.requeueRecovered(j, "")
 		}
 	}
@@ -293,6 +298,22 @@ func (s *Server) requeueRecovered(j *job, note string) {
 	s.scope.Event("job_recovered",
 		slog.String("job", j.id),
 		slog.Int("attempts", j.status.Attempts))
+}
+
+// failRecovered marks a swept job terminally failed (called from recover,
+// before any worker starts).
+func (s *Server) failRecovered(j *job, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.status.State = StateFailed
+	j.status.Reason = ReasonConstruction
+	j.status.LastError = err.Error()
+	s.persistLocked(j)
+	s.scope.Counter("jobs_failed").Add(1)
+	s.scope.Event("job_failed",
+		slog.String("job", j.id),
+		slog.String("reason", ReasonConstruction),
+		slog.String("err", err.Error()))
 }
 
 // newTraceID returns a fresh 64-bit random hex trace identifier. Job IDs

@@ -550,3 +550,66 @@ func TestTwoJobTraceCorrelation(t *testing.T) {
 		}
 	}
 }
+
+// TestBadProcessCountRefused: a protocol asked to run with a process count
+// it does not support — CoinFlood is built for exactly two — is refused at
+// admission, by Submit and over HTTP with 400, and never persisted. A job
+// of that shape already persisted (admitted before the check existed) is
+// failed by the recovery sweep instead of requeued: running it would panic
+// in CoinFlood's Init and kill the server on every restart.
+func TestBadProcessCountRefused(t *testing.T) {
+	opts := fastOptions(t)
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := JobSpec{Protocol: core.ProtocolCoinFlood, N: 3}
+	if _, err := s.Submit(bad); err == nil {
+		t.Fatal("Submit admitted coinflood n=3")
+	}
+	ts := httptest.NewServer(s.Handler())
+	body, _ := json.Marshal(bad)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	ts.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /jobs coinflood n=3: %s, want 400", resp.Status)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused spec was admitted: %+v", jobs)
+	}
+	drain(t, s)
+
+	dir := filepath.Join(opts.DataDir, "jobs", "j000000")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := json.Marshal(Status{ID: "j000000", Spec: bad, State: StateQueued})
+	if err := os.WriteFile(filepath.Join(dir, "status.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, s)
+	st, err := s.Job("j000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || st.Reason != ReasonConstruction || !strings.Contains(st.LastError, "coinflood") {
+		t.Fatalf("persisted coinflood n=3 job recovered as %+v, want failed", st)
+	}
+	// The server is still serving: a good job runs to completion.
+	good, err := s.Submit(JobSpec{Protocol: core.ProtocolDiskRace, N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "good job done", func() bool {
+		got, _ := s.Job(good.ID)
+		return got.State == StateDone
+	})
+}
