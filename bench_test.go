@@ -29,7 +29,7 @@ import (
 
 func diskOpts() explore.Options {
 	return explore.Options{
-		AppendKey: consensus.DiskRace{}.AppendCanonicalKey,
+		Identity: consensus.DiskRace{},
 	}
 }
 

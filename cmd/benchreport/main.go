@@ -139,7 +139,7 @@ type Report struct {
 
 func diskOpts() explore.Options {
 	return explore.Options{
-		AppendKey: consensus.DiskRace{}.AppendCanonicalKey,
+		Identity: consensus.DiskRace{},
 	}
 }
 

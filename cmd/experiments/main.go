@@ -135,8 +135,8 @@ func run(heavy bool, scope *obs.Scope, ckpt ckptConfig) error {
 	}
 	attacks := []attack{
 		{consensus.Flood{}, explore.Options{}, 2},
-		{consensus.DiskRace{}, explore.Options{AppendKey: consensus.DiskRace{}.AppendCanonicalKey}, 2},
-		{consensus.DiskRace{}, explore.Options{AppendKey: consensus.DiskRace{}.AppendCanonicalKey}, 3},
+		{consensus.DiskRace{}, explore.Options{Identity: consensus.DiskRace{}}, 2},
+		{consensus.DiskRace{}, explore.Options{Identity: consensus.DiskRace{}}, 3},
 	}
 	for _, a := range attacks {
 		a.opts.Obs = scope
@@ -190,7 +190,7 @@ func run(heavy bool, scope *obs.Scope, ckpt ckptConfig) error {
 	props := []attack{
 		{consensus.Flood{}, explore.Options{}, 2},
 		{consensus.Flood{}, explore.Options{}, 3},
-		{consensus.DiskRace{}, explore.Options{AppendKey: consensus.DiskRace{}.AppendCanonicalKey}, 3},
+		{consensus.DiskRace{}, explore.Options{Identity: consensus.DiskRace{}}, 3},
 	}
 	for _, a := range props {
 		a.opts.Obs = scope

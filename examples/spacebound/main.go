@@ -20,7 +20,7 @@ import (
 
 func main() {
 	machine := consensus.DiskRace{}
-	oracle := valency.New(explore.Options{AppendKey: machine.AppendCanonicalKey})
+	oracle := valency.New(explore.Options{Identity: machine})
 	engine := adversary.New(oracle)
 	const n = 3
 

@@ -16,7 +16,7 @@ func newEngine(opts explore.Options) *Engine {
 
 func diskEngine() *Engine {
 	return newEngine(explore.Options{
-		AppendKey: consensus.DiskRace{}.AppendCanonicalKey,
+		Identity: consensus.DiskRace{},
 	})
 }
 

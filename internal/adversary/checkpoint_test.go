@@ -53,8 +53,8 @@ func viewOf(w *Theorem1Witness) witnessView {
 // field, to an uninterrupted run's.
 func TestTheorem1CrashResumeDeterministic(t *testing.T) {
 	opts := explore.Options{
-		Workers:   1,
-		AppendKey: consensus.DiskRace{}.AppendCanonicalKey,
+		Workers:  1,
+		Identity: consensus.DiskRace{},
 	}
 	meta := checkpoint.Meta{Protocol: "diskrace", N: 3, MaxConfigs: opts.MaxConfigs}
 

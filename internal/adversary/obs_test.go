@@ -48,8 +48,8 @@ func TestTheorem1N4Traced(t *testing.T) {
 	defer srv.Close()
 
 	opts := explore.Options{
-		AppendKey: consensus.DiskRace{}.AppendCanonicalKey,
-		Obs:       scope,
+		Identity: consensus.DiskRace{},
+		Obs:      scope,
 	}
 	engine := New(valency.New(opts))
 

@@ -13,7 +13,7 @@ import (
 // diskOpts is the exploration configuration for DiskRace: the ballot
 // canonicalisation is what makes its unbounded state space exhaustible.
 func diskOpts() explore.Options {
-	return explore.Options{AppendKey: DiskRace{}.AppendCanonicalKey}
+	return explore.Options{Identity: DiskRace{}}
 }
 
 // TestDiskRaceAgreement model-checks DiskRace over the canonical

@@ -30,10 +30,8 @@ type expander struct {
 	path []uint32
 	recs []uint64
 
-	child  []uint64
-	states []model.State
-	regs   []model.Value
-	moves  []model.Move
+	child []uint64
+	moves []model.Move
 	// raw holds the MixWords digests of the child records produced by the
 	// current expandLevel call.
 	raw map[explore.Fingerprint]struct{}
@@ -48,8 +46,6 @@ func newExpander(root model.Config, procs []int, opts explore.Options) (*expande
 		procs:   procs,
 		stride:  codec.Words(),
 		child:   make([]uint64, codec.Words()),
-		states:  make([]model.State, codec.NumProcesses()),
-		regs:    make([]model.Value, codec.NumRegisters()),
 		raw:     make(map[explore.Fingerprint]struct{}),
 	}
 	x.recs = make([]uint64, x.stride)
@@ -137,11 +133,7 @@ func (x *expander) expandLevel(frontier []Entry, numSlices int, beat func() erro
 				continue
 			}
 			x.raw[rfp] = struct{}{}
-			cfg, err := x.codec.UnpackInto(x.child, x.states, x.regs)
-			if err != nil {
-				return nil, 0, err
-			}
-			fp := x.fpr.Fingerprint(cfg)
+			fp := x.fpr.FingerprintPacked(x.codec, x.child)
 			packed, err := model.PackMove(mv)
 			if err != nil {
 				return nil, 0, err

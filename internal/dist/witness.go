@@ -56,16 +56,14 @@ func RenderWitness(spec Spec, levels []LevelStat, totalSteps int64) []byte {
 // tests compare against.
 func SequentialWitness(ctx context.Context, spec Spec, root model.Config, procs []int, opts explore.Options) ([]byte, error) {
 	opts.MaxDepth = spec.MaxDepth
-	fpr := opts.NewFingerprinter()
 	var levels []LevelStat
 	res, err := explore.Reach(ctx, root, procs, opts, func(v explore.Visit) bool {
 		for len(levels) <= v.Depth {
 			levels = append(levels, LevelStat{})
 		}
-		fp := fpr.Fingerprint(v.Config)
 		levels[v.Depth].Fresh++
-		levels[v.Depth].Digest[0] ^= fp[0]
-		levels[v.Depth].Digest[1] ^= fp[1]
+		levels[v.Depth].Digest[0] ^= v.FP[0]
+		levels[v.Depth].Digest[1] ^= v.FP[1]
 		return true
 	})
 	if err != nil {

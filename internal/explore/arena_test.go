@@ -89,7 +89,7 @@ func TestArenaPathsReplay(t *testing.T) {
 	forcePool(t)
 	disk := consensus.DiskRace{}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
-	opts := Options{AppendKey: disk.AppendCanonicalKey, MaxConfigs: 4000, Workers: 4}
+	opts := Options{Identity: disk, MaxConfigs: 4000, Workers: 4}
 	var keys []string
 	res, err := Reach(context.Background(), c, []int{0, 1, 2}, opts, func(v Visit) bool {
 		keys = append(keys, keyOf(opts, v.Config))
@@ -281,7 +281,10 @@ func TestFPSetConcurrentAdds(t *testing.T) {
 // TestFingerprinterAllocFree fences both state identities: once warm, a
 // Fingerprinter digests a configuration without allocating — the DiskRace
 // canonicaliser (pooled scratch, appended into the hasher's buffer) on a
-// reachable n=4 configuration, and Config.AppendKey on a flood n=3 one.
+// reachable n=4 configuration, and Config.AppendKey on a flood n=3 one —
+// and digests the same configuration's packed record to the same
+// fingerprint, also without allocating: through the DiskRace packed keyer,
+// and for flood (exact identity) through the unpack fallback.
 func TestFingerprinterAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates alloc counts and drops sync.Pool entries; the fence is a production bound")
@@ -293,7 +296,7 @@ func TestFingerprinterAllocFree(t *testing.T) {
 		opts  Options
 		depth int
 	}{
-		{"diskrace-n4-canonical", model.NewConfig(disk, []model.Value{"0", "1", "1", "0"}), Options{AppendKey: disk.AppendCanonicalKey}, 14},
+		{"diskrace-n4-canonical", model.NewConfig(disk, []model.Value{"0", "1", "1", "0"}), Options{Identity: disk}, 14},
 		{"flood-n3", model.NewConfig(consensus.Flood{}, []model.Value{"0", "1", "1"}), Options{}, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -317,6 +320,21 @@ func TestFingerprinterAllocFree(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("warm fingerprint %x differs from the first %x", got, want)
+			}
+
+			codec := model.NewPackedCodec(deep)
+			rec, err := codec.Pack(deep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got = fpr.FingerprintPacked(codec, rec); got != want {
+				t.Fatalf("packed fingerprint %x differs from the Config one %x", got, want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { got = fpr.FingerprintPacked(codec, rec) }); allocs != 0 {
+				t.Fatalf("FingerprintPacked allocates %.1f per call, want 0", allocs)
+			}
+			if got != want {
+				t.Fatalf("warm packed fingerprint %x differs from the Config one %x", got, want)
 			}
 		})
 	}

@@ -2,10 +2,13 @@ package explore
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
 
+	"repro/internal/consensus"
 	"repro/internal/model"
 )
 
@@ -191,5 +194,67 @@ func TestRestoreRejectsInconsistentCheckpoint(t *testing.T) {
 	bad := &LevelCheckpoint{Depth: 1, Count: 5, Nodes: []CheckpointNode{{}}}
 	if _, err := Reach(context.Background(), c, []int{0, 1}, Options{ResumeFrom: bad}, nil); err == nil {
 		t.Fatal("resume from inconsistent checkpoint succeeded")
+	}
+}
+
+// TestVisitFPMatchesFingerprinter requires every Visit's FP to be the
+// fingerprint a Fingerprinter computes for its configuration under the
+// same options — on DiskRace n=3 (packed canonical keys) and Flood n=3
+// (exact identity), with one worker and with a forced pool of four, and on
+// a search resumed from a mid-run checkpoint, whose visits come only from
+// restored state.
+func TestVisitFPMatchesFingerprinter(t *testing.T) {
+	forcePool(t)
+	for _, tc := range []struct {
+		name string
+		c    model.Config
+		opts Options
+	}{
+		{"diskrace-n3", model.NewConfig(consensus.DiskRace{}, []model.Value{"0", "1", "1"}), Options{Identity: consensus.DiskRace{}, MaxDepth: 16}},
+		{"flood-n3", model.NewConfig(consensus.Flood{}, []model.Value{"0", "1", "1"}), Options{MaxDepth: 12}},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				opts := tc.opts
+				opts.Workers = workers
+				fpr := opts.NewFingerprinter()
+				var cp *LevelCheckpoint
+				check := func(v Visit) bool {
+					if want := fpr.Fingerprint(v.Config); v.FP != want {
+						t.Fatalf("visit %d: FP %x, Fingerprinter says %x", v.ID, v.FP, want)
+					}
+					return true
+				}
+				snapOpts := opts
+				snapOpts.Snapshot = func(sn *Snapshotter) {
+					if cp == nil && sn.Depth() == 6 {
+						var err error
+						if cp, err = sn.Data(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				full, err := Reach(context.Background(), tc.c, []int{0, 1, 2}, snapOpts, check)
+				if err != nil && !errors.Is(err, ErrCapped) {
+					t.Fatal(err)
+				}
+				if cp == nil {
+					t.Fatal("snapshot hook never captured depth 6")
+				}
+				resumeOpts := opts
+				resumeOpts.ResumeFrom = cp
+				visits := 0
+				resumed, err := Reach(context.Background(), tc.c, []int{0, 1, 2}, resumeOpts, func(v Visit) bool {
+					visits++
+					return check(v)
+				})
+				if err != nil && !errors.Is(err, ErrCapped) {
+					t.Fatal(err)
+				}
+				if visits == 0 || resumed.Count != full.Count {
+					t.Fatalf("resumed search visited %d, count %d; full count %d", visits, resumed.Count, full.Count)
+				}
+			})
+		}
 	}
 }

@@ -6,7 +6,7 @@
 // The paper's arguments quantify over "P-only executions from C". For the
 // protocols this repository attacks, the set of configurations reachable by
 // P-only executions is finite modulo the protocol's canonicalisation (see
-// Options.AppendKey), so breadth-first search decides those quantifiers
+// Options.Identity), so breadth-first search decides those quantifiers
 // exactly. Caps guard against unbounded spaces: when a cap binds, the
 // search reports it explicitly instead of silently returning partial truth.
 //
@@ -16,15 +16,16 @@
 // probability is below 10^-21), nodes retain only a parent index and the
 // packed connecting move for witness-path reconstruction, and the BFS
 // frontier itself is a flat arena of bit-packed dictionary-index records
-// (model.PackedCodec) materialised into configurations only in the batch
-// being expanded. Callers inspect configurations in the visit callback,
+// (model.PackedCodec), materialised into a configuration only for the
+// visit callback. Callers inspect configurations in the visit callback,
 // while they are transiently available — Visit.Config must not be retained
 // past the callback's return (clone it if needed).
 //
 // The frontier is expanded level-synchronously by a pool of workers
 // (Options.Workers) that deduplicate through a sharded lock-striped
 // fingerprint set and hash each configuration's identity bytes appended
-// into per-worker scratch (Options.AppendKey), so no per-configuration key
+// into per-worker scratch (Options.Identity), straight from its packed
+// record when the identity can key records, so no per-configuration key
 // is allocated on the hot path. The
 // visit callback is always invoked from the calling goroutine, in
 // deterministic order: one worker and N workers visit the same
@@ -62,18 +63,20 @@ type Options struct {
 	MaxConfigs int
 	// MaxDepth caps the BFS depth (schedule length). Zero means no cap.
 	MaxDepth int
-	// AppendKey, when non-nil, replaces Config.AppendKey as the state
-	// identity used for deduplication: it appends c's identity bytes to
-	// dst and returns the extended slice (each worker passes its own
-	// reused scratch). Protocols with unbounded-but-symmetric state (e.g.
-	// DiskRace's ballots) supply a canonicalising key that quotients the
-	// space by a bisimulation, making exhaustive search terminate. The
-	// function must identify only behaviourally equivalent configurations;
-	// consensus.TestDiskRaceCanonicalBisimulation is the guard for the one
-	// canonicaliser this repository ships. It must be safe for concurrent
-	// use from multiple workers (write into dst only; any internal scratch
-	// must be pooled, as consensus.DiskRace.AppendCanonicalKey does).
-	AppendKey func(dst []byte, c model.Config) []byte
+	// Identity, when non-nil, replaces Config.AppendKey as the state
+	// identity used for deduplication. Protocols with unbounded-but-
+	// symmetric state (e.g. DiskRace's ballots) supply a canonicaliser that
+	// quotients the space by a bisimulation, making exhaustive search
+	// terminate. It must identify only behaviourally equivalent
+	// configurations; consensus.TestDiskRaceCanonicalBisimulation is the
+	// guard for the one canonicaliser this repository ships. When it is
+	// also a model.PackedCanonicaliser (consensus.DiskRace is), every
+	// kernel keys packed records with a per-goroutine model.PackedKeyer and
+	// builds no configuration to fingerprint one; otherwise, and for the
+	// exact identity (nil), records are unpacked and keyed as
+	// configurations. Both paths append the same bytes, so fingerprints do
+	// not depend on the path.
+	Identity model.Canonicaliser
 	// Workers is the number of frontier-expansion workers. Zero means
 	// GOMAXPROCS; 1 forces single-threaded expansion. Worker count never
 	// changes the number of configurations visited per level.
@@ -142,11 +145,15 @@ type node struct {
 // Visit is the information handed to the visit callback for each distinct
 // configuration, in BFS order. Config is only guaranteed valid during the
 // callback (the frontier is released as the search advances); ID is stable
-// and can be passed to Result.PathTo afterwards.
+// and can be passed to Result.PathTo afterwards. FP is the fingerprint the
+// search inserted into its visited set for this configuration — what
+// Fingerprinter.Fingerprint(Config) returns under the same options — so
+// callers that digest visits need not key them a second time.
 type Visit struct {
 	Config model.Config
 	ID     int
 	Depth  int
+	FP     Fingerprint
 }
 
 // Result is the outcome of an exploration.
@@ -307,11 +314,12 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 		}
 		depth = int32(opts.ResumeFrom.Depth)
 	} else {
-		s.visited.Add(s.scratch.fingerprint(&opts, c))
+		fp := s.scratch.fingerprint(&opts, c)
+		s.visited.Add(fp)
 		res.nodes = append(res.nodes, node{parent: 0})
 		res.Count = 1
 		res.PeakFrontier = 1
-		if visit != nil && !visit(Visit{Config: c, ID: 0, Depth: 0}) {
+		if visit != nil && !visit(Visit{Config: c, ID: 0, Depth: 0, FP: fp}) {
 			res.Capped = true
 			return res, fmt.Errorf("reach from %d procs: %w", len(p), ErrCapped)
 		}
@@ -387,15 +395,26 @@ func Reach(ctx context.Context, c model.Config, p []int, opts Options, visit fun
 						id := int32(len(res.nodes))
 						res.nodes = append(res.nodes, node{parent: sl.parent, depth: depth + 1, via: sl.via})
 						res.Count++
-						if visit != nil && !visit(Visit{Config: sl.cfg, ID: int(id), Depth: int(depth + 1)}) {
-							res.Capped = true
-							return fmt.Errorf("reach visit stop: %w", ErrCapped)
+						rec := ch.words[i*s.stride : (i+1)*s.stride]
+						if visit != nil {
+							// The coordinator's scratch is idle between
+							// expansions; the configuration lives only
+							// for the callback.
+							cfg, err := s.scratch.unpack(s.codec, rec)
+							if err != nil {
+								res.Capped = true
+								return fmt.Errorf("reach unpack after %d configs: %w (and %w)", res.Count, err, ErrCapped)
+							}
+							if !visit(Visit{Config: cfg, ID: int(id), Depth: int(depth + 1), FP: sl.fp}) {
+								res.Capped = true
+								return fmt.Errorf("reach visit stop: %w", ErrCapped)
+							}
 						}
 						if res.Count >= maxConfigs {
 							res.Capped = true
 							return fmt.Errorf("reach hit %d configs: %w", maxConfigs, ErrCapped)
 						}
-						next.add(id, ch.words[i*s.stride:(i+1)*s.stride], gov)
+						next.add(id, rec, gov)
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -128,17 +129,58 @@ func MixWords(ws []uint64) Fingerprint {
 // allocated per configuration. Not safe for concurrent use.
 type hasher struct {
 	buf []byte
+	// codec is the codec of the last packed record fingerprinted, and
+	// keyer the identity's keyer for it (nil when the identity cannot key
+	// packed records): the packed path is chosen once per codec.
+	codec *model.PackedCodec
+	keyer model.PackedKeyer
+	// ustates and uregs back the configurations unpack returns.
+	ustates []model.State
+	uregs   []model.Value
 }
 
-// fingerprint digests c's identity bytes under opts: opts.AppendKey when
-// set, Config.AppendKey otherwise.
+// fingerprint digests c's identity bytes under opts: opts.Identity's
+// canonical key when set, Config.AppendKey otherwise.
 func (hs *hasher) fingerprint(opts *Options, c model.Config) Fingerprint {
-	if opts.AppendKey != nil {
-		hs.buf = opts.AppendKey(hs.buf[:0], c)
+	if opts.Identity != nil {
+		hs.buf = opts.Identity.AppendCanonicalKey(hs.buf[:0], c)
 	} else {
 		hs.buf = c.AppendKey(hs.buf[:0])
 	}
 	return mix128(hs.buf)
+}
+
+// fingerprintPacked digests the identity bytes of the configuration words
+// encodes, a live record of codec: the fingerprint fingerprint returns for
+// the unpacked configuration. An identity that is a
+// model.PackedCanonicaliser keys the record directly; any other, and the
+// exact identity, unpack it first.
+func (hs *hasher) fingerprintPacked(opts *Options, codec *model.PackedCodec, words []uint64) Fingerprint {
+	if hs.codec != codec {
+		hs.codec, hs.keyer = codec, nil
+		if pk, ok := opts.Identity.(model.PackedCanonicaliser); ok {
+			hs.keyer = pk.NewPackedKeyer(codec)
+		}
+	}
+	if hs.keyer != nil {
+		hs.buf = hs.keyer.AppendPackedKey(hs.buf[:0], words)
+		return mix128(hs.buf)
+	}
+	c, err := hs.unpack(codec, words)
+	if err != nil {
+		panic(fmt.Sprintf("explore: fingerprint of a record the codec never produced: %v", err))
+	}
+	return hs.fingerprint(opts, c)
+}
+
+// unpack decodes words, a record of codec, into the hasher's scratch. The
+// configuration is valid until the next unpack.
+func (hs *hasher) unpack(codec *model.PackedCodec, words []uint64) (model.Config, error) {
+	if len(hs.ustates) < codec.NumProcesses() || len(hs.uregs) < codec.NumRegisters() {
+		hs.ustates = make([]model.State, codec.NumProcesses())
+		hs.uregs = make([]model.Value, codec.NumRegisters())
+	}
+	return codec.UnpackInto(words, hs.ustates, hs.uregs)
 }
 
 // Fingerprinter is reusable fingerprinting scratch bound to one option
@@ -158,6 +200,16 @@ func (o Options) NewFingerprinter() *Fingerprinter {
 // Fingerprint digests c's identity bytes.
 func (f *Fingerprinter) Fingerprint(c model.Config) Fingerprint {
 	return f.hs.fingerprint(&f.opts, c)
+}
+
+// FingerprintPacked digests the identity bytes of the configuration words
+// encodes — Fingerprint of its unpacked configuration — without building
+// it when the identity can key packed records. words must be a live record
+// of codec; anything else panics, as model.PackedStepper does. Switching
+// codecs costs a fresh keyer, so a caller keeps one codec per
+// Fingerprinter.
+func (f *Fingerprinter) FingerprintPacked(codec *model.PackedCodec, words []uint64) Fingerprint {
+	return f.hs.fingerprintPacked(&f.opts, codec, words)
 }
 
 // fpShards is the stripe count of the visited set. 64 stripes keep

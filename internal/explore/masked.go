@@ -75,7 +75,7 @@ type MaskedResult struct {
 // before its moves, and the search stops as soon as none remain. A visit
 // error aborts the search and is returned as is.
 //
-// Of opts only MaxConfigs and the state identity (AppendKey) apply: the
+// Of opts only MaxConfigs and the state identity (Identity) apply: the
 // search is capped — Capped set, no error — once Count reaches MaxConfigs,
 // checked after every insertion and before every dequeue. ctx
 // cancellation returns an error wrapping ctx.Err(). The result is never
@@ -142,11 +142,7 @@ func ReachMasked(ctx context.Context, c model.Config, p []int, allowed []uint64,
 					res.RawHits++
 					continue
 				}
-				child, err := codec.UnpackInto(ws.childWords, ws.ustates, ws.uregs)
-				if err != nil {
-					return res, fmt.Errorf("masked reach unpack: %w", err)
-				}
-				fp := ws.fingerprint(&opts, child)
+				fp := ws.fingerprintPacked(&opts, codec, ws.childWords)
 				prev := seen[fp]
 				raw[rfp] = prev | childMask
 				if childMask&^prev == 0 {
@@ -159,6 +155,10 @@ func ReachMasked(ctx context.Context, c model.Config, p []int, allowed []uint64,
 				via, err := model.PackMove(mv)
 				if err != nil {
 					return res, fmt.Errorf("masked reach move: %w", err)
+				}
+				child, err := ws.unpack(codec, ws.childWords)
+				if err != nil {
+					return res, fmt.Errorf("masked reach unpack: %w", err)
 				}
 				id := len(res.nodes)
 				res.nodes = append(res.nodes, node{parent: int32(lo), depth: depth, via: via})

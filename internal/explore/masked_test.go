@@ -18,7 +18,7 @@ import (
 // describe the level it was cut in.
 func TestReachMaskedSingleCandidateMatchesReach(t *testing.T) {
 	disk := consensus.DiskRace{}
-	diskOpts := Options{AppendKey: disk.AppendCanonicalKey, Workers: 1}
+	diskOpts := Options{Identity: disk, Workers: 1}
 	cases := []struct {
 		name string
 		c    model.Config
@@ -26,7 +26,7 @@ func TestReachMaskedSingleCandidateMatchesReach(t *testing.T) {
 		opts Options
 	}{
 		{"diskrace-n3", model.NewConfig(disk, []model.Value{"0", "1", "1"}), []int{0, 1}, diskOpts},
-		{"diskrace-n3-capped", model.NewConfig(disk, []model.Value{"0", "1", "1"}), []int{0, 1, 2}, Options{AppendKey: disk.AppendCanonicalKey, Workers: 1, MaxConfigs: 700}},
+		{"diskrace-n3-capped", model.NewConfig(disk, []model.Value{"0", "1", "1"}), []int{0, 1, 2}, Options{Identity: disk, Workers: 1, MaxConfigs: 700}},
 		{"flood-n3", model.NewConfig(consensus.Flood{}, []model.Value{"0", "1", "0"}), []int{0, 2}, Options{Workers: 1}},
 		{"coinflood-n2", model.NewConfig(consensus.CoinFlood{}, []model.Value{"0", "1"}), []int{0, 1}, Options{Workers: 1}},
 	}

@@ -7,7 +7,7 @@ import "repro/internal/model"
 // set of string keys. Its visit order is Reach's single-worker order. It
 // returns the key of every visited configuration in visit order and the
 // number of transitions examined; capped reports that opts.MaxConfigs
-// stopped it before the space was exhausted. Of opts only AppendKey and
+// stopped it before the space was exhausted. Of opts only Identity and
 // MaxConfigs apply.
 func naiveReach(c model.Config, p []int, opts Options) (keys []string, steps int, capped bool) {
 	seen := map[string]bool{}
@@ -38,12 +38,13 @@ func naiveReach(c model.Config, p []int, opts Options) (keys []string, steps int
 }
 
 // keyOf returns c's state identity under opts as a freshly allocated
-// string: opts.AppendKey's bytes, or Config.Key when AppendKey is unset.
+// string: opts.Identity's canonical key, or Config.Key when Identity is
+// unset.
 func keyOf(opts Options, c model.Config) string {
-	if opts.AppendKey == nil {
+	if opts.Identity == nil {
 		return c.Key()
 	}
-	return string(opts.AppendKey(nil, c))
+	return string(opts.Identity.AppendCanonicalKey(nil, c))
 }
 
 // fingerprintOf digests an already-materialised key string: the reference

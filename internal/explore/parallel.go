@@ -39,10 +39,11 @@ const cancelPollStride = 512
 var minChunkSize = 64
 
 // childSlot records one fresh (first-visit) child produced by a worker,
-// pending the coordinator's deterministic merge. via is the connecting
-// move in its model.PackMove encoding — the form the node forest retains.
+// pending the coordinator's deterministic merge: the fingerprint it won
+// the visited set with, and via, the connecting move in its
+// model.PackMove encoding — the form the node forest retains.
 type childSlot struct {
-	cfg    model.Config
+	fp     Fingerprint
 	via    uint32
 	parent int32
 }
@@ -50,13 +51,11 @@ type childSlot struct {
 // chunk is one contiguous slice [lo,hi) of the level being expanded, plus
 // the expansion output. Slot and arena buffers persist across levels to
 // keep the steady state allocation-free. words holds the packed record of
-// slots[i] at [i*stride, (i+1)*stride) and slab owns the slot
-// configurations until the coordinator has merged them.
+// slots[i] at [i*stride, (i+1)*stride).
 type chunk struct {
 	lo, hi   int
 	slots    []childSlot
 	words    []uint64
-	slab     model.ConfigSlab
 	dupSteps int
 	err      error
 	// Per-chunk instrumentation deltas, folded into per-level metrics by
@@ -74,8 +73,6 @@ type chunk struct {
 type workerScratch struct {
 	stepper    *model.PackedStepper
 	childWords []uint64
-	ustates    []model.State
-	uregs      []model.Value
 	moves      []model.Move
 	hasher
 }
@@ -86,8 +83,6 @@ func (ws *workerScratch) initPacked(codec *model.PackedCodec) {
 	}
 	ws.stepper = codec.NewStepper()
 	ws.childWords = make([]uint64, codec.Words())
-	ws.ustates = make([]model.State, codec.NumProcesses())
-	ws.uregs = make([]model.Value, codec.NumRegisters())
 }
 
 // search carries the state of one Reach call across levels.
@@ -103,7 +98,7 @@ type search struct {
 	// instance-scoped dictionary ids: never persisted in checkpoints (a
 	// resumed search just rebuilds it) and never mixed with visited.
 	rawSeen *fpSet
-	scratch *workerScratch // coordinator's own scratch, for inline expansion
+	scratch *workerScratch // coordinator's own scratch, for inline expansion and visits
 	metrics searchMetrics  // flight-recorder instruments, resolved once per Reach
 
 	// codec is the packed-configuration dictionary shared by all workers;
@@ -161,24 +156,22 @@ func (s *search) expandLevel(level []levelEntry) []chunk {
 // output is never mistaken for exhaustion. A packing failure (dictionary
 // capacity) is parked in ch.err for the coordinator.
 //
-// The loop never touches a model.Config on the fast path: moves are
+// The loop never builds a model.Config to decide a transition: moves are
 // enumerated from the parent's interned state ids, transitions run through
-// the per-worker stepper memo directly on the packed words, and a
-// raw-identity pre-filter (a hash of the packed record itself) screens out
-// transitions that rebuild an already-produced record before the canonical
-// key is ever built. Only raw-fresh children are unpacked and
-// fingerprinted canonically.
+// the per-worker stepper memo directly on the packed words, a raw-identity
+// pre-filter (a hash of the packed record itself) screens out transitions
+// that rebuild an already-produced record, and the canonical fingerprint
+// is taken from the packed record (hasher.fingerprintPacked). No child is
+// unpacked here: the coordinator unpacks the winners, one at a time, for
+// the visit callback.
 //
 // The pre-filter is a pure shortcut: packed records are exact, so a
 // raw-duplicate's canonical fingerprint was already added to the visited
 // set when its identical twin was processed — skipping it cannot change
 // the visited set, the visit sequence or the counters.
 func (s *search) expandRange(ch *chunk, ws *workerScratch) {
-	// The previous level's slots were merged before this chunk was
-	// redispatched, so retiring the slab here cannot orphan a live clone.
 	ch.slots = ch.slots[:0]
 	ch.words = ch.words[:0]
-	ch.slab.Reset()
 	ch.dupSteps = 0
 	ch.err = nil
 	ch.rawHits = 0
@@ -209,12 +202,8 @@ func (s *search) expandRange(ch *chunk, ws *workerScratch) {
 				ch.dupSteps++
 				continue
 			}
-			child, err := s.codec.UnpackInto(ws.childWords, ws.ustates, ws.uregs)
-			if err != nil {
-				ch.err = err
-				return
-			}
-			if !s.visited.Add(ws.fingerprint(&s.opts, child)) {
+			fp := ws.fingerprintPacked(&s.opts, s.codec, ws.childWords)
+			if !s.visited.Add(fp) {
 				ch.dupSteps++
 				continue
 			}
@@ -224,7 +213,7 @@ func (s *search) expandRange(ch *chunk, ws *workerScratch) {
 				return
 			}
 			ch.words = append(ch.words, ws.childWords...)
-			ch.slots = append(ch.slots, childSlot{cfg: ch.slab.Clone(child), via: via, parent: ent.id})
+			ch.slots = append(ch.slots, childSlot{fp: fp, via: via, parent: ent.id})
 		}
 	}
 }

@@ -29,3 +29,37 @@ func (c Config) AppendKey(dst []byte) []byte {
 	}
 	return dst
 }
+
+// Canonicaliser is a state identity coarser than Config.AppendKey: it
+// appends bytes that identify c only up to a protocol's bisimulation (for
+// example DiskRace's ballot renumbering), so exhaustive search of an
+// unbounded-state protocol can terminate. explore.Options.Identity carries
+// one; nil there means the exact identity, Config.AppendKey.
+type Canonicaliser interface {
+	// AppendCanonicalKey appends c's canonical key to dst and returns the
+	// extended slice. It must be safe for concurrent use.
+	AppendCanonicalKey(dst []byte, c Config) []byte
+}
+
+// PackedCanonicaliser is a Canonicaliser that can also key packed records
+// of a codec without building their configurations. The exploration
+// kernels type-assert for it once per codec and fall back to unpacking
+// records when it is absent.
+type PackedCanonicaliser interface {
+	Canonicaliser
+	// NewPackedKeyer returns a keyer for records of pc. Dictionary ids
+	// serve the keyer only as indices of its own caches: its output is
+	// the canonical key, whatever order pc interned states in.
+	NewPackedKeyer(pc *PackedCodec) PackedKeyer
+}
+
+// PackedKeyer appends canonical keys straight from packed records of one
+// codec. Not safe for concurrent use; each goroutine holds its own.
+type PackedKeyer interface {
+	// AppendPackedKey appends to dst exactly the bytes
+	// AppendCanonicalKey appends for the configuration words encodes, and
+	// returns the extended slice. words must be a live record of the
+	// keyer's codec; an id the codec never interned panics, as it does in
+	// PackedStepper.
+	AppendPackedKey(dst []byte, words []uint64) []byte
+}

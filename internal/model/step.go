@@ -1,10 +1,7 @@
 package model
 
 // Allocation-lean helpers for the exploration hot path. PeekOp inspects a
-// pending operation without building its argument; ConfigSlab detaches the
-// few configurations that survive deduplication from the engine's reused
-// unpack buffers (PackedCodec.UnpackInto) into one arena, so keeping a
-// survivor costs no per-configuration slice allocation.
+// pending operation without building its argument.
 
 // OpPeeker is an optional extension of State: PeekOp returns the pending
 // operation's kind and register without building the full Op. Pending's
@@ -37,37 +34,4 @@ func (c Config) Clone() Config {
 	regs := make([]Value, len(c.regs))
 	copy(regs, c.regs)
 	return Config{states: states, regs: regs}
-}
-
-// ConfigSlab is an append-only arena for detached Config copies: Clone
-// copies a (possibly scratch-backed) configuration's slices into the
-// slab's backing arrays and returns a Config aliasing them. Clones stay
-// valid across slab growth (they keep their windows into the old backing
-// array) and die together at Reset. The zero value is ready; one slab
-// serves one goroutine.
-type ConfigSlab struct {
-	states []State
-	regs   []Value
-}
-
-// Clone detaches c into the slab.
-func (a *ConfigSlab) Clone(c Config) Config {
-	ns := len(a.states)
-	a.states = append(a.states, c.states...)
-	nr := len(a.regs)
-	a.regs = append(a.regs, c.regs...)
-	return Config{
-		states: a.states[ns:len(a.states):len(a.states)],
-		regs:   a.regs[nr:len(a.regs):len(a.regs)],
-	}
-}
-
-// Reset retires every clone at once, keeping the backing arrays for
-// reuse. References are cleared so retired states can be collected; the
-// caller asserts no clone from before the Reset is still live.
-func (a *ConfigSlab) Reset() {
-	clear(a.states)
-	a.states = a.states[:0]
-	clear(a.regs)
-	a.regs = a.regs[:0]
 }

@@ -163,3 +163,15 @@ func (pc *PackedCodec) StateID(words []uint64, pid int) uint32 {
 func (pc *PackedCodec) ValueID(words []uint64, r int) uint32 {
 	return uint32(getField(words, pc.regOff(r), pc.regBits))
 }
+
+// State returns the state interned under id. ok is false for an id the
+// codec never interned.
+func (pc *PackedCodec) State(id uint32) (State, bool) {
+	return pc.states.at(id)
+}
+
+// Value returns the register value interned under id. ok is false for an
+// id the codec never interned.
+func (pc *PackedCodec) Value(id uint32) (Value, bool) {
+	return pc.vals.at(id)
+}

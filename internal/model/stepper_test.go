@@ -143,46 +143,3 @@ func TestStepPackedMatchesStep(t *testing.T) {
 		})
 	}
 }
-
-// TestConfigSlabCloneSurvivesScratchReuse: a slab clone must stay intact
-// when the unpack buffers it was cloned from are overwritten by later
-// decodes (the exploration workers reuse one pair per batch) and when the
-// slab grows.
-func TestConfigSlabCloneSurvivesScratchReuse(t *testing.T) {
-	c := mixConfig()
-	pc := NewPackedCodec(c)
-	first, err := pc.Pack(c.Step(0, "1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := pc.Pack(c.Step(1, "0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := make([]State, pc.NumProcesses())
-	regs := make([]Value, pc.NumRegisters())
-	unpack := func(words []uint64) Config {
-		t.Helper()
-		cfg, err := pc.UnpackInto(words, states, regs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cfg
-	}
-	var slab ConfigSlab
-	kept := slab.Clone(unpack(first))
-	wantKey := c.Step(0, "1").Key()
-	// Overwrite the backing slices and grow the slab past its initial
-	// capacity.
-	for i := 0; i < 100; i++ {
-		slab.Clone(unpack(other))
-	}
-	if kept.Key() != wantKey {
-		t.Fatalf("slab clone corrupted: key %q, want %q", kept.Key(), wantKey)
-	}
-	slab.Reset()
-	again := slab.Clone(unpack(first))
-	if again.Key() != wantKey {
-		t.Fatalf("post-Reset clone key %q, want %q", again.Key(), wantKey)
-	}
-}

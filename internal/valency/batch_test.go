@@ -60,7 +60,7 @@ func TestDecideBatchMatchesDecidable(t *testing.T) {
 // on DiskRace Lemma 1 candidate sets.
 func TestProbeBivalentBatchMatchesSequential(t *testing.T) {
 	disk := consensus.DiskRace{}
-	opts := explore.Options{AppendKey: disk.AppendCanonicalKey}
+	opts := explore.Options{Identity: disk}
 	c := model.NewConfig(disk, []model.Value{"0", "1", "1"})
 	p := []int{0, 1, 2}
 	cands := make([][]int, len(p))
@@ -108,7 +108,7 @@ func TestBatchMemoProtocol(t *testing.T) {
 	})
 	t.Run("inconclusive not memoised", func(t *testing.T) {
 		disk := consensus.DiskRace{}
-		o := New(explore.Options{AppendKey: disk.AppendCanonicalKey})
+		o := New(explore.Options{Identity: disk})
 		// Unanimous inputs: no bivalence certificate exists and the
 		// 2-process spaces are too big for the budget, so every candidate
 		// is inconclusive.
@@ -136,7 +136,7 @@ func TestBatchMemoProtocol(t *testing.T) {
 		}
 	})
 	t.Run("DecideBatch errors when capped", func(t *testing.T) {
-		o := New(explore.Options{MaxConfigs: 4, AppendKey: consensus.DiskRace{}.AppendCanonicalKey})
+		o := New(explore.Options{MaxConfigs: 4, Identity: consensus.DiskRace{}})
 		c := model.NewConfig(consensus.DiskRace{}, []model.Value{"1", "1", "1"})
 		if _, err := o.DecideBatch(context.Background(), c, [][]int{{0, 1}}); err == nil {
 			t.Fatal("capped DecideBatch returned verdicts")
@@ -238,7 +238,7 @@ func lemma1Cands(p []int) [][]int {
 // (a configuration re-reached with new candidate bits) in both searches.
 func TestBatchKernelMatchesReference(t *testing.T) {
 	disk := consensus.DiskRace{}
-	diskOpts := explore.Options{AppendKey: disk.AppendCanonicalKey}
+	diskOpts := explore.Options{Identity: disk}
 	const probeBudget = 1 << 16 // adversary.DefaultProbeBudget
 	var cases []batchCase
 	for _, in := range [][]model.Value{{"0", "1", "1"}, {"1", "0", "1"}, {"1", "1", "1"}} {
@@ -344,7 +344,7 @@ func TestBatchSearchAllocs(t *testing.T) {
 	}
 	disk := consensus.DiskRace{}
 	bc := batchCase{
-		opts:  explore.Options{AppendKey: disk.AppendCanonicalKey},
+		opts:  explore.Options{Identity: disk},
 		c:     model.NewConfig(disk, []model.Value{"0", "1", "1"}),
 		cands: lemma1Cands([]int{0, 1, 2}),
 	}
@@ -383,7 +383,7 @@ func TestBatchSpanAttributes(t *testing.T) {
 	var buf bytes.Buffer
 	scope := obs.NewScope(obs.NewTracer(&buf))
 	disk := consensus.DiskRace{}
-	o := New(explore.Options{AppendKey: disk.AppendCanonicalKey, Obs: scope})
+	o := New(explore.Options{Identity: disk, Obs: scope})
 	c := model.NewConfig(disk, []model.Value{"1", "1", "1"})
 	if _, err := o.ProbeBivalentBatch(context.Background(), c, lemma1Cands([]int{0, 1, 2}), 4096); err != nil {
 		t.Fatal(err)

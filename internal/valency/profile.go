@@ -65,12 +65,11 @@ func (o *Oracle) Profile(ctx context.Context, name string, c model.Config, p []i
 		fp  explore.Fingerprint
 	}
 	statsBefore := o.stats
-	fpr := o.opts.NewFingerprinter()
 	var kept []entry
 	res, err := explore.Reach(ctx, c, p, o.opts, func(v explore.Visit) bool {
 		// Clone: v.Config is arena-backed and only valid during the
 		// callback; the profile keeps the whole space for pass 2.
-		kept = append(kept, entry{cfg: v.Config.Clone(), fp: fpr.Fingerprint(v.Config)})
+		kept = append(kept, entry{cfg: v.Config.Clone(), fp: v.FP})
 		return true
 	})
 	if err != nil {
@@ -118,7 +117,7 @@ func (o *Oracle) Profile(ctx context.Context, name string, c model.Config, p []i
 		}
 		for _, mv := range explore.Moves(e.cfg, p) {
 			succCfg := model.ApplyMove(e.cfg, mv)
-			succ, found := verdicts[fpr.Fingerprint(succCfg)]
+			succ, found := verdicts[o.fper.Fingerprint(succCfg)]
 			if !found {
 				if !res.Capped {
 					return report, fmt.Errorf(
